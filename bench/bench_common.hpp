@@ -6,12 +6,19 @@
 #include <deque>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "exp/env.hpp"
 #include "exp/harness.hpp"
+#include "support/fault.hpp"
 #include "support/table.hpp"
+
+// CMake passes the configured build type; other builds say so.
+#ifndef MGRTS_BUILD_TYPE
+#define MGRTS_BUILD_TYPE "unknown"
+#endif
 
 namespace mgrts::bench {
 
@@ -57,17 +64,21 @@ inline gen::GeneratorOptions paper_workload_small() {
 // across PRs by tooling instead of eyeballs.  Schema:
 //   { "bench": "<name>",
 //     "entries": [ { "name": "...", "<metric>": <number>, ... }, ... ],
-//     "history": [ { "sha": "...", "metrics": {"<name>.<metric>": n} } ] }
+//     "history": [ { "sha": "...", "hardware_threads": n,
+//                    "build_type": "...", "fault_injection": 0|1,
+//                    "metrics": {"<name>.<metric>": n} } ] }
 //
 // `entries` is always the current run.  `history` makes the committed file
 // a real cross-PR trajectory instead of a single overwritten snapshot:
-// each write appends one flattened {sha, metrics} row for this run to the
-// rows carried over from the committed baseline (MGRTS_BENCH_BASELINE when
-// set, else the previous file at the output path), capped at the newest
-// kHistoryCap rows.  tools/check_bench_regression.py gates against the
+// each write appends one flattened row for this run to the rows carried
+// over from the committed baseline (MGRTS_BENCH_BASELINE when set, else the
+// previous file at the output path), capped at the newest kHistoryCap rows.  tools/check_bench_regression.py gates against the
 // LAST committed history row (falling back to `entries` for pre-history
 // baselines), so the ledger compares like-for-like runs while the full
-// trajectory stays greppable in one file.
+// trajectory stays greppable in one file.  A row names the commit it
+// measured (with "-dirty" when src/, bench/ or tools/ differ from it, so a
+// ledger regenerated inside an uncommitted change is not credited to its
+// parent) and the machine and build that produced it.
 
 /// One record in BENCH_<name>.json: a label plus numeric metrics.
 struct BenchRecord {
@@ -137,23 +148,48 @@ class BenchJson {
     return buf;
   }
 
-  /// This run as one flattened single-line history row.
-  std::string snapshot_line() const {
-    std::string sha = "unknown";
-    if (const char* env = std::getenv("MGRTS_GIT_SHA");
-        env != nullptr && *env != '\0') {
-      sha = env;
-    } else if (std::FILE* pipe =
-                   ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-      char buf[64] = {};
+  /// First line of a shell command's output, trimmed; empty on failure.
+  static std::string first_line(const char* command) {
+    std::string line;
+    if (std::FILE* pipe = ::popen(command, "r")) {
+      char buf[256] = {};
       if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
-        std::string raw(buf);
-        raw.erase(raw.find_last_not_of(" \n\r\t") + 1);
-        if (!raw.empty()) sha = std::move(raw);
+        line = buf;
+        line.erase(line.find_last_not_of(" \n\r\t") + 1);
       }
       ::pclose(pipe);
     }
-    std::string line = "{\"sha\": \"" + sha + "\", \"metrics\": {";
+    return line;
+  }
+
+  /// The measured commit: MGRTS_GIT_SHA when set, else the short HEAD sha
+  /// with "-dirty" when src/, bench/ or tools/ differ from HEAD (the
+  /// pathspecs are top-level relative, so any working directory inside
+  /// the checkout works).
+  static std::string measured_sha() {
+    if (const char* env = std::getenv("MGRTS_GIT_SHA");
+        env != nullptr && *env != '\0') {
+      return env;
+    }
+    std::string sha = first_line("git rev-parse --short HEAD 2>/dev/null");
+    if (sha.empty()) return "unknown";
+    if (!first_line("git status --porcelain -- :/src :/bench :/tools "
+                    "2>/dev/null")
+             .empty()) {
+      sha += "-dirty";
+    }
+    return sha;
+  }
+
+  /// This run as one flattened single-line history row.
+  std::string snapshot_line() const {
+    std::string line = "{\"sha\": \"" + measured_sha() +
+                       "\", \"hardware_threads\": " +
+                       std::to_string(std::thread::hardware_concurrency()) +
+                       ", \"build_type\": \"" MGRTS_BUILD_TYPE
+                       "\", \"fault_injection\": " +
+                       std::to_string(MGRTS_FAULT_INJECTION) +
+                       ", \"metrics\": {";
     bool first = true;
     for (const BenchRecord& r : records_) {
       for (const auto& [key, value] : r.metrics) {

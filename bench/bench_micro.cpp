@@ -203,21 +203,12 @@ void BM_Csp2CounterRulesScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_Csp2CounterRulesScratch);
 
-void BM_Csp2CounterRulesLegacy(benchmark::State& state) {
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        counter_rule_run(k++ % 8, csp::PropagationMode::kLegacy));
-  }
-}
-BENCHMARK(BM_Csp2CounterRulesLegacy);
-
 // The fat-scope variant of the counter-rule workload: a CSP2-shaped grid
 // (m=8 processors x S=64 slots, 24 tasks, 256-variable CountEq windows plus
 // the per-slot AllDifferentExcept columns) searched chronologically, so the
 // run is propagation-bound rather than heuristic-bound.  Without symmetry
-// chains every mode wakes the same pruning closure, so all three modes
-// explore the identical tree and wall time divides out into propagation
+// chains both modes wake the same pruning closure, so they explore the
+// identical tree and wall time divides out into propagation
 // throughput directly.
 csp::SolveStats counter_grid_run(csp::PropagationMode mode) {
   constexpr int m = 8, S = 64, n = 24, L = 32, W = 8;
@@ -429,17 +420,11 @@ void report_portfolio(bench::BenchJson& json) {
 // oracle would absorb everything) and trims the csp2-presolve node budget,
 // then generic-engine nogood lanes race over the surviving indices: true
 // 1-UIP learning under chronological retry, decision-set learning (the
-// PR-4 baseline), shrinking off, the always-on differential, the 1-UIP
-// configuration with the slot-column AllDifferentExcept raised to
-// Régin-style matching GAC (DESIGN.md §14), and the 1-UIP configuration
-// with non-chronological backjumping + recursive minimization — the
-// production defaults (DESIGN.md §15).  Gated ledger entries:
+// differential baseline), shrinking off, and the 1-UIP configuration with
+// non-chronological backjumping + recursive minimization — the production
+// defaults (DESIGN.md §15).  Gated ledger entries:
 // `residue_nodes_per_sec` (1-UIP lane throughput), `nogood_shrink_ratio`
-// (recorded/raw literal ratio, lower is better), `uip_clause_len_ratio`
-// (1-UIP vs decision-set clause length for the same conflicts, lower is
-// better and <= 1.0 by construction), `alldiff_prune_strength`
-// (forward-check vs matching nodes-to-verdict — how much tree the GAC
-// level saves per decisive answer, higher is better) and
+// (recorded/raw literal ratio, lower is better) and
 // `backjump_nodes_per_verdict_ratio` (backjump-lane vs decision-set
 // nodes-to-verdict, lower is better — CDCL's payoff per decisive
 // answer).  The residue set is reproducible across PRs from the
@@ -480,7 +465,7 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
     spec.config.generic.nogoods = true;
     spec.config.generic.nogood_shrink = shrink;
     spec.config.generic.nogood_learn = learn;
-    // Lanes 0-4 are the historical chronological configurations; pinning
+    // Lanes 0-2 are the historical chronological configurations; pinning
     // the knobs keeps their ledger lines comparable across PRs now that
     // SearchOptions defaults both to on.  The backjump lane re-enables
     // them below.
@@ -488,28 +473,11 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
     spec.config.generic.nogood_minimize = false;
     return spec;
   };
-  // The 4th lane re-runs the 1-UIP configuration with the decision-set
-  // differential forced on every conflict (nogood_ds_sample = 1) instead of
-  // the sampled default.  Both walks are pure observers, so per node the
-  // trees are identical; under the shared wall budget the always-on lane
-  // just covers fewer of them — the nodes/sec gap is the overhead the
-  // sampling knob recovers.
-  exp::SolverSpec ds_always =
-      lane("residue-ds-always", true, csp::NogoodLearn::kUip1);
-  ds_always.config.generic.nogood_ds_sample = 1;
-  // The 5th lane re-runs the default 1-UIP configuration with the slot
-  // columns' AllDifferentExcept raised from forward checking to matching
-  // GAC; everything else identical, so verdict_nodes[0]/verdict_nodes[4]
-  // is the pruning strength the matching level buys per decisive answer.
-  exp::SolverSpec matching =
-      lane("residue-matching", true, csp::NogoodLearn::kUip1);
-  matching.config.csp2_generic.alldiff_level =
-      csp::PropagationLevel::kMatching;
-  // The 6th lane is the 1-UIP configuration with the asserting-clause
+  // The 4th lane is the 1-UIP configuration with the asserting-clause
   // machinery switched on (DESIGN.md §15): non-chronological backjumping
   // to the assertion level plus recursive self-subsumption minimization —
   // i.e. the SearchOptions defaults every production consumer now runs.
-  // verdict_nodes[5]/verdict_nodes[1] is the gated
+  // verdict_nodes[3]/verdict_nodes[1] is the gated
   // backjump_nodes_per_verdict_ratio (CDCL's payoff per decisive answer
   // vs the decision-set baseline, lower is better).
   exp::SolverSpec backjump =
@@ -521,15 +489,12 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
       {lane("residue-1uip", true, csp::NogoodLearn::kUip1),
        lane("residue-dset", true, csp::NogoodLearn::kDecisionSet),
        lane("residue-shrink-off", false, csp::NogoodLearn::kUip1),
-       std::move(ds_always), std::move(matching), std::move(backjump)});
+       std::move(backjump)});
   const char* names[] = {"residue_1uip", "residue_dset",
-                         "residue_shrink_off", "residue_ds_always",
-                         "residue_matching", "residue_backjump"};
+                         "residue_shrink_off", "residue_backjump"};
 
   double nodes_per_sec_uip = 0.0;
   double shrink_ratio_uip = 1.0;
-  double uip_len_ratio = 1.0;
-  std::vector<double> lane_nps(batch.labels.size(), 0.0);
   std::vector<double> verdict_nodes(batch.labels.size(), 0.0);
   for (std::size_t s = 0; s < batch.labels.size(); ++s) {
     double wall = 0.0;
@@ -545,8 +510,6 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
       learn.replay_hits += run.nogoods.replay_hits;
       learn.lits_before += run.nogoods.lits_before;
       learn.lits_after += run.nogoods.lits_after;
-      learn.lits_uip += run.nogoods.lits_uip;
-      learn.lits_ds += run.nogoods.lits_ds;
       learn.subsumed += run.nogoods.subsumed;
       learn.lbd_refreshed += run.nogoods.lbd_refreshed;
       learn.backjumps += run.nogoods.backjumps;
@@ -561,12 +524,10 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
         decided > 0 ? static_cast<double>(nodes) /
                           static_cast<double>(decided)
                     : static_cast<double>(nodes);
-    lane_nps[s] = nodes_per_sec;
     verdict_nodes[s] = nodes_to_verdict;
     if (s == 0) {
       nodes_per_sec_uip = nodes_per_sec;
       shrink_ratio_uip = learn.shrink_ratio();
-      uip_len_ratio = learn.uip_len_ratio();
     }
     auto& record = json.record(names[s]);
     record.metric("wall_seconds_total", wall)
@@ -581,8 +542,7 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
         .metric("nogood_lbd_refreshes",
                 static_cast<double>(learn.lbd_refreshed))
         .metric("shrink_ratio", learn.shrink_ratio());
-    if (s == 0) record.metric("uip_clause_len_ratio", uip_len_ratio);
-    if (s == 5) {
+    if (s == 3) {
       record.metric("backjumps", static_cast<double>(learn.backjumps))
           .metric("backjump_levels_saved",
                   static_cast<double>(learn.backjump_levels_saved))
@@ -590,18 +550,17 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
                   static_cast<double>(learn.lits_minimized));
     }
     std::printf("%-32s %10.3fs  %8lld nodes  %2lld decided  "
-                "%6.0f nodes/verdict  shrink %.2f  uip/ds %.2f\n",
+                "%6.0f nodes/verdict  shrink %.2f\n",
                 batch.labels[s].c_str(), wall,
                 static_cast<long long>(nodes),
                 static_cast<long long>(decided), nodes_to_verdict,
-                learn.shrink_ratio(), learn.uip_len_ratio());
+                learn.shrink_ratio());
   }
   json.record("residue_summary")
       .metric("residue_instances",
               static_cast<double>(residue.indices().size()))
       .metric("residue_nodes_per_sec", nodes_per_sec_uip)
       .metric("nogood_shrink_ratio", shrink_ratio_uip)
-      .metric("uip_clause_len_ratio", uip_len_ratio)
       .metric("nodes_to_verdict_uip", verdict_nodes[0])
       .metric("nodes_to_verdict_dset", verdict_nodes[1])
       .metric("nodes_to_verdict_off", verdict_nodes[2])
@@ -611,31 +570,21 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
       .metric("verdict_cost_vs_off",
               verdict_nodes[2] > 0.0 ? verdict_nodes[0] / verdict_nodes[2]
                                      : 1.0)
-      .metric("ds_sample_speedup",
-              lane_nps[3] > 0.0 ? lane_nps[0] / lane_nps[3] : 1.0)
-      .metric("alldiff_prune_strength",
-              verdict_nodes[4] > 0.0 ? verdict_nodes[0] / verdict_nodes[4]
-                                     : 1.0)
-      .metric("nodes_to_verdict_backjump", verdict_nodes[5])
+      .metric("nodes_to_verdict_backjump", verdict_nodes[3])
       .metric("backjump_nodes_per_verdict_ratio",
-              verdict_nodes[1] > 0.0 ? verdict_nodes[5] / verdict_nodes[1]
+              verdict_nodes[1] > 0.0 ? verdict_nodes[3] / verdict_nodes[1]
                                      : 1.0);
   std::printf("%-32s 1-UIP costs %.2fx the nodes per verdict of the "
-              "decision set, %.2fx of shrink-off (shrink %.2f, uip/ds "
-              "length %.2f); sampling the differential runs %.2fx the "
-              "always-on rate; matching GAC prunes %.2fx the FC tree per "
-              "verdict; backjumping spends %.2fx the decision-set nodes "
-              "per verdict\n",
+              "decision set, %.2fx of shrink-off (shrink %.2f); "
+              "backjumping spends %.2fx the decision-set nodes per "
+              "verdict\n",
               "residue_summary",
               verdict_nodes[1] > 0.0 ? verdict_nodes[0] / verdict_nodes[1]
                                      : 1.0,
               verdict_nodes[2] > 0.0 ? verdict_nodes[0] / verdict_nodes[2]
                                      : 1.0,
-              shrink_ratio_uip, uip_len_ratio,
-              lane_nps[3] > 0.0 ? lane_nps[0] / lane_nps[3] : 1.0,
-              verdict_nodes[4] > 0.0 ? verdict_nodes[0] / verdict_nodes[4]
-                                     : 1.0,
-              verdict_nodes[1] > 0.0 ? verdict_nodes[5] / verdict_nodes[1]
+              shrink_ratio_uip,
+              verdict_nodes[1] > 0.0 ? verdict_nodes[3] / verdict_nodes[1]
                                      : 1.0);
 }
 
@@ -995,27 +944,21 @@ int main(int argc, char** argv) {
 
   std::printf("\n== CSP2 counter-rule workload (BENCH_micro.json) ==\n");
   // incremental vs scratch isolates the trailed-counter fast path (same
-  // wake sets, identical tree); incremental vs legacy is the speedup over
-  // the pre-change engine (wake-on-any-change, full rescans).  The three
-  // grid records explore the identical tree, so `propagations_per_sec` of
-  // the incremental entry against `useful_propagations_per_sec` of the
-  // legacy entry (canonical propagation count / wall) is the engine
-  // speedup tracked across PRs.
+  // wake sets, identical tree).  Both grid records explore the identical
+  // tree, so `useful_propagations_per_sec` (canonical propagation count /
+  // wall) compares their engine throughput directly.
   bench::BenchJson json("micro");
   report_counter_rules(json, "csp2_counter_rules_incremental",
                        csp::PropagationMode::kIncremental);
   report_counter_rules(json, "csp2_counter_rules_scratch",
                        csp::PropagationMode::kScratch);
-  report_counter_rules(json, "csp2_counter_rules_legacy",
-                       csp::PropagationMode::kLegacy);
 
   const csp::SolveStats canonical =
       counter_grid_run(csp::PropagationMode::kIncremental);
   for (const auto& [label, mode] :
        {std::pair{"counter_grid_incremental",
                   csp::PropagationMode::kIncremental},
-        std::pair{"counter_grid_scratch", csp::PropagationMode::kScratch},
-        std::pair{"counter_grid_legacy", csp::PropagationMode::kLegacy}}) {
+        std::pair{"counter_grid_scratch", csp::PropagationMode::kScratch}}) {
     const csp::SolveStats stats =
         mode == csp::PropagationMode::kIncremental ? canonical
                                                    : counter_grid_run(mode);

@@ -110,11 +110,10 @@ int main() {
   // conflicts, and how often the replayed clauses fired.  Pool exchanges
   // stay 0 outside portfolios.
   const core::NogoodStats& learn = csp1_report.nogoods;
-  std::printf("nogoods: %lld recorded (shrink ratio %.2f, 1-UIP/decision-set "
-              "length %.2f), %lld replay hits, %lld subsumed, %lld LBD "
-              "refreshes, %lld exported / %lld imported\n",
+  std::printf("nogoods: %lld recorded (shrink ratio %.2f), %lld replay "
+              "hits, %lld subsumed, %lld LBD refreshes, %lld exported / "
+              "%lld imported\n",
               static_cast<long long>(learn.recorded), learn.shrink_ratio(),
-              learn.uip_len_ratio(),
               static_cast<long long>(learn.replay_hits),
               static_cast<long long>(learn.subsumed),
               static_cast<long long>(learn.lbd_refreshed),

@@ -94,11 +94,6 @@ struct NogoodStats {
   /// length stored after conflict-analysis shrinking.
   std::int64_t lits_before = 0;
   std::int64_t lits_after = 0;
-  /// 1-UIP differential (NogoodLearn::kUip1 backends): per analyzed
-  /// conflict, the 1-UIP clause length vs the decision-set clause for the
-  /// same conflict (never longer — the walk guarantees it per conflict).
-  std::int64_t lits_uip = 0;
-  std::int64_t lits_ds = 0;
   /// On-the-fly subsumptions (a recording replaced or was absorbed by its
   /// predecessor) and replay-hit block-LBD refreshes.
   std::int64_t subsumed = 0;
@@ -117,15 +112,6 @@ struct NogoodStats {
     return lits_before > 0 ? static_cast<double>(lits_after) /
                                  static_cast<double>(lits_before)
                            : 1.0;
-  }
-
-  /// Average 1-UIP clause length over the decision-set clause length for
-  /// the same conflicts; <= 1.0 by construction, 1.0 when 1-UIP learning
-  /// did not run.  The gated uip_clause_len_ratio ledger metric.
-  [[nodiscard]] double uip_len_ratio() const noexcept {
-    return lits_ds > 0 ? static_cast<double>(lits_uip) /
-                             static_cast<double>(lits_ds)
-                       : 1.0;
   }
 };
 

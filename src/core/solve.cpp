@@ -54,8 +54,6 @@ NogoodStats to_nogood_stats(const csp::SolveStats& stats) {
   out.replay_hits = stats.nogood_props + stats.nogood_conflicts;
   out.lits_before = stats.nogood_lits_before;
   out.lits_after = stats.nogood_lits_after;
-  out.lits_uip = stats.nogood_lits_uip;
-  out.lits_ds = stats.nogood_lits_ds;
   out.subsumed = stats.nogoods_subsumed;
   out.lbd_refreshed = stats.nogood_lbd_refreshed;
   out.backjumps = stats.backjumps;

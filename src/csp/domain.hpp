@@ -94,7 +94,7 @@ class Domain64 {
   // ------------------------------------------------------- mask kernels
   //
   // Word-scan primitives over raw masks, shared by the hot propagator
-  // sweeps, the nogood watch checks and the matching propagator.  All of
+  // sweeps and the nogood watch checks.  All of
   // them treat a mask exactly as a Domain64 with the same base: bit k is
   // value base + k.
 

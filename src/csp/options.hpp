@@ -50,25 +50,9 @@ enum class RestartPolicy {
 /// How propagators compute their prunings.  kIncremental and kScratch use
 /// the same wake events and reach the same fixpoints, so they explore the
 /// identical tree; kScratch is the reference for differential testing.
-/// kLegacy additionally disables event filtering (every watcher wakes on
-/// every change, advisors skipped), emulating the pre-event-engine behavior
-/// as the benchmark baseline.
 enum class PropagationMode {
   kIncremental,  ///< trailed counters / pending lists (the fast path)
   kScratch,      ///< recompute every propagator from its full scope
-  kLegacy,       ///< kScratch + wake-on-any-change (pre-change emulation)
-};
-
-/// Consistency level of structural global constraints that support both
-/// (today: AllDifferentExcept).  kForwardCheck is the cheap classic sweep
-/// (prune a fixed value from the siblings); kMatching is Régin-style
-/// generalized arc consistency over the value graph — a maximum matching
-/// plus SCC pruning of unmatchable edges (DESIGN.md §14).  kMatching prunes
-/// a superset of kForwardCheck at every node, so trees may shrink but never
-/// grow; kForwardCheck stays the differential baseline.
-enum class PropagationLevel {
-  kForwardCheck,
-  kMatching,
 };
 
 /// What conflict analysis records when shrinking is on (DESIGN.md §10–11).
@@ -100,7 +84,6 @@ struct SearchOptions {
   /// Record the decision-set nogood at every conflict and replay the
   /// database as 2-watched-literal constraints.  Nogoods survive restarts,
   /// so this mainly pays off combined with RestartPolicy::kLuby/kGeometric.
-  /// Ignored under PropagationMode::kLegacy (replay needs advisors).
   bool nogoods = false;
   /// Minimize nogoods by conflict analysis before recording (DESIGN.md
   /// §10): the solver tracks a reason per trail entry and keeps only the
@@ -132,16 +115,6 @@ struct SearchOptions {
   /// solve the same model (identical variable ids).
   NogoodPool* nogood_pool = nullptr;
   std::int32_t nogood_lane = 0;  ///< this run's id inside nogood_pool
-  /// Under kUip1 learning, run the decision-set walk (the differential
-  /// reference behind uip_clause_len_ratio) on every Nth conflict only; the
-  /// other conflicts go straight to the 1-UIP walk, recovering the
-  /// always-both overhead while keeping the differential as a background
-  /// check.  1 = both walks at every conflict (the pre-sampling behavior),
-  /// 0 = never sample (no differential stats).  The recorded clauses and
-  /// the search tree are identical for every N: the walks are independent
-  /// pure observers, and a conflict whose 1-UIP walk fails falls back to a
-  /// lazily-run decision-set walk either way.
-  std::int32_t nogood_ds_sample = 16;
 
   /// Non-chronological backjumping (DESIGN.md §15): when 1-UIP analysis
   /// yields an asserting clause, unwind the trail straight to its assertion
@@ -216,12 +189,6 @@ struct SolveStats {
   /// when shrinking is off); after/before is the shrink ratio.
   std::int64_t nogood_lits_before = 0;
   std::int64_t nogood_lits_after = 0;
-  /// 1-UIP differential (NogoodLearn::kUip1 only): per analyzed conflict,
-  /// the 1-UIP clause length vs the decision-set clause length for the
-  /// *same* conflict; uip/ds is the gated uip_clause_len_ratio (never
-  /// above 1.0 — the walk guarantees it per conflict).
-  std::int64_t nogood_lits_uip = 0;
-  std::int64_t nogood_lits_ds = 0;
   /// On-the-fly subsumption events: a fresh clause replaced (or was
   /// absorbed by) the previously recorded one.
   std::int64_t nogoods_subsumed = 0;

@@ -307,9 +307,8 @@ PropResult WeightedCountEq::propagate(Solver& solver) {
 
 // -------------------------------------------------------- AllDifferentExcept
 
-AllDifferentExcept::AllDifferentExcept(std::vector<VarId> vars, Value except,
-                                       PropagationLevel level)
-    : vars_(std::move(vars)), except_(except), level_(level) {
+AllDifferentExcept::AllDifferentExcept(std::vector<VarId> vars, Value except)
+    : vars_(std::move(vars)), except_(except) {
   marked_.assign(vars_.size(), 0);
 }
 
@@ -322,10 +321,6 @@ void AllDifferentExcept::clear_marks() {
 bool AllDifferentExcept::on_event(Solver& solver, std::int32_t pos,
                                   std::uint64_t old_mask) {
   static_cast<void>(old_mask);
-  // Matching mode subscribes kAnyChange: any removal can reshape the value
-  // graph's SCC structure (and losing `except` changes who must be
-  // matched), so every event requests a run; the queue dedupes.
-  if (level_ == PropagationLevel::kMatching) return true;
   // Fixed-only subscription: only a variable fixed to a non-except value
   // needs broadcasting.
   if (solver.domain(vars_[static_cast<std::size_t>(pos)]).value() ==
@@ -362,296 +357,7 @@ PropResult AllDifferentExcept::broadcast(Solver& solver, std::size_t pos,
   return result;
 }
 
-void AllDifferentExcept::init_matching(Solver& solver) {
-  // Lazily sized on the first matching run, which happens at root
-  // propagation — i.e. on the maximal domains any later state (including
-  // post-backtrack states) is a subset of.  Value nodes are dense offsets
-  // from the smallest root value.
-  Value vmin = solver.domain(vars_.front()).min();
-  Value vmax = solver.domain(vars_.front()).max();
-  for (const VarId v : vars_) {
-    const Domain64& d = solver.domain(v);
-    vmin = std::min(vmin, d.min());
-    vmax = std::max(vmax, d.max());
-  }
-  vmin_ = vmin;
-  value_count_ = static_cast<std::int32_t>(vmax - vmin) + 1;
-  match_of_pos_.assign(vars_.size(), kUnmatched);
-  match_of_val_.assign(static_cast<std::size_t>(value_count_), kUnmatched);
-  visit_stamp_.assign(static_cast<std::size_t>(value_count_), 0);
-  kill_.assign(vars_.size(), 0);
-  present_.assign(static_cast<std::size_t>(value_count_), 0);
-}
-
-bool AllDifferentExcept::augment(Solver& solver, std::int32_t pos) {
-  const Domain64& d = solver.domain(vars_[static_cast<std::size_t>(pos)]);
-  const Value base = d.base();
-  std::uint64_t bits = d.raw_mask();
-  if (Domain64::mask_contains(bits, base, except_)) {
-    bits &= ~(std::uint64_t{1} << static_cast<unsigned>(except_ - base));
-  }
-  while (bits != 0) {
-    const int off = std::countr_zero(bits);
-    bits &= bits - 1;
-    const auto idx = static_cast<std::size_t>(base + off - vmin_);
-    if (visit_stamp_[idx] == visit_epoch_) continue;
-    visit_stamp_[idx] = visit_epoch_;
-    const std::int32_t occ = match_of_val_[idx];
-    bool take = occ == kUnmatched;
-    if (!take &&
-        solver.domain(vars_[static_cast<std::size_t>(occ)]).contains(
-            except_)) {
-      // The occupant may fall back to the except sink: divert it there
-      // (cheaper than a recursive search, and any source-saturating flow
-      // is equally good for the SCC pruning).
-      match_of_pos_[static_cast<std::size_t>(occ)] = kUnmatched;
-      take = true;
-    }
-    if (!take) take = augment(solver, occ);
-    if (take) {
-      match_of_val_[idx] = pos;
-      match_of_pos_[static_cast<std::size_t>(pos)] =
-          static_cast<std::int32_t>(idx);
-      return true;
-    }
-  }
-  return false;
-}
-
-PropResult AllDifferentExcept::propagate_matching(Solver& solver) {
-  const auto n = static_cast<std::int32_t>(vars_.size());
-  if (match_of_pos_.empty()) init_matching(solver);
-  if (solver.scratch_mode()) {
-    // Reference path: forget the cached matching and rebuild from the
-    // current domains.  The pruned edge set is a function of the domains
-    // alone (an edge survives iff it lies in SOME source-saturating flow),
-    // so scratch and incremental runs remove identical values in identical
-    // order — the modes stay tree-identical.
-    std::fill(match_of_pos_.begin(), match_of_pos_.end(), kUnmatched);
-    std::fill(match_of_val_.begin(), match_of_val_.end(), kUnmatched);
-  }
-
-  // 1. Repair: drop matching edges the current domains no longer support.
-  for (std::int32_t x = 0; x < n; ++x) {
-    const std::int32_t idx = match_of_pos_[static_cast<std::size_t>(x)];
-    if (idx == kUnmatched) continue;
-    if (!solver.domain(vars_[static_cast<std::size_t>(x)])
-             .contains(vmin_ + idx)) {
-      match_of_pos_[static_cast<std::size_t>(x)] = kUnmatched;
-      match_of_val_[static_cast<std::size_t>(idx)] = kUnmatched;
-    }
-  }
-
-  // 2. Augment: every variable that cannot take `except` must be matched.
-  for (std::int32_t x = 0; x < n; ++x) {
-    const Domain64& d = solver.domain(vars_[static_cast<std::size_t>(x)]);
-    if (d.contains(except_)) continue;  // may route through the Θ sink
-    if (match_of_pos_[static_cast<std::size_t>(x)] != kUnmatched) continue;
-    ++visit_epoch_;
-    if (!augment(solver, x)) return PropResult::kFail;
-  }
-
-  // 3. Residual graph (DESIGN.md §14).  Nodes: positions 0..n-1, value
-  // nodes n..n+V-1, the except sink Θ, the value sink T.  Edge directions
-  // follow the residual of the source-saturating flow:
-  //   matched (x,v): v->x          unmatched edge: x->v
-  //   except in dom(x): x->Θ if x is matched, Θ->x if x routes via Θ
-  //   matched value v: T->v        present unmatched value: v->T
-  //   Θ->T always; T->Θ iff some position routes via Θ.
-  const std::int32_t theta = n + value_count_;
-  const std::int32_t tsink = theta + 1;
-  const std::int32_t node_count = tsink + 1;
-  adj_off_.assign(static_cast<std::size_t>(node_count) + 1, 0);
-  std::fill(present_.begin(), present_.end(), std::uint8_t{0});
-
-  bool any_via_theta = false;
-  const auto degree = [&](std::int32_t from) {
-    ++adj_off_[static_cast<std::size_t>(from) + 1];
-  };
-  for (std::int32_t x = 0; x < n; ++x) {
-    const Domain64& d = solver.domain(vars_[static_cast<std::size_t>(x)]);
-    const Value base = d.base();
-    std::uint64_t bits = d.raw_mask();
-    const bool has_except = Domain64::mask_contains(bits, base, except_);
-    if (has_except) {
-      bits &= ~(std::uint64_t{1} << static_cast<unsigned>(except_ - base));
-    }
-    const std::int32_t matched = match_of_pos_[static_cast<std::size_t>(x)];
-    while (bits != 0) {
-      const int off = std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int32_t idx = base + off - vmin_;
-      present_[static_cast<std::size_t>(idx)] = 1;
-      degree(matched == idx ? n + idx : x);
-    }
-    if (has_except) degree(matched != kUnmatched ? x : theta);
-    if (matched == kUnmatched) any_via_theta = true;
-  }
-  for (std::int32_t idx = 0; idx < value_count_; ++idx) {
-    if (match_of_val_[static_cast<std::size_t>(idx)] != kUnmatched) {
-      degree(tsink);
-    } else if (present_[static_cast<std::size_t>(idx)] != 0) {
-      degree(n + idx);
-    }
-  }
-  degree(theta);                      // Θ->T
-  if (any_via_theta) degree(tsink);   // T->Θ
-
-  for (std::int32_t v = 0; v < node_count; ++v) {
-    adj_off_[static_cast<std::size_t>(v) + 1] +=
-        adj_off_[static_cast<std::size_t>(v)];
-  }
-  adj_dat_.resize(static_cast<std::size_t>(adj_off_.back()));
-  // Fill pass: cursor[] reuses index_ as scratch before Tarjan claims it.
-  index_.assign(adj_off_.begin(), adj_off_.end() - 1);
-  const auto emit = [&](std::int32_t from, std::int32_t to) {
-    adj_dat_[static_cast<std::size_t>(
-        index_[static_cast<std::size_t>(from)]++)] = to;
-  };
-  for (std::int32_t x = 0; x < n; ++x) {
-    const Domain64& d = solver.domain(vars_[static_cast<std::size_t>(x)]);
-    const Value base = d.base();
-    std::uint64_t bits = d.raw_mask();
-    const bool has_except = Domain64::mask_contains(bits, base, except_);
-    if (has_except) {
-      bits &= ~(std::uint64_t{1} << static_cast<unsigned>(except_ - base));
-    }
-    const std::int32_t matched = match_of_pos_[static_cast<std::size_t>(x)];
-    while (bits != 0) {
-      const int off = std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int32_t idx = base + off - vmin_;
-      if (matched == idx) {
-        emit(n + idx, x);
-      } else {
-        emit(x, n + idx);
-      }
-    }
-    if (has_except) {
-      if (matched != kUnmatched) {
-        emit(x, theta);
-      } else {
-        emit(theta, x);
-      }
-    }
-  }
-  for (std::int32_t idx = 0; idx < value_count_; ++idx) {
-    if (match_of_val_[static_cast<std::size_t>(idx)] != kUnmatched) {
-      emit(tsink, n + idx);
-    } else if (present_[static_cast<std::size_t>(idx)] != 0) {
-      emit(n + idx, tsink);
-    }
-  }
-  emit(theta, tsink);
-  if (any_via_theta) emit(tsink, theta);
-
-  // 4. Tarjan SCC (iterative).
-  index_.assign(static_cast<std::size_t>(node_count), -1);
-  low_.assign(static_cast<std::size_t>(node_count), 0);
-  scc_id_.assign(static_cast<std::size_t>(node_count), -1);
-  on_stack_.assign(static_cast<std::size_t>(node_count), 0);
-  scc_stack_.clear();
-  std::int32_t next_index = 0;
-  std::int32_t scc_count = 0;
-  for (std::int32_t s = 0; s < node_count; ++s) {
-    if (index_[static_cast<std::size_t>(s)] != -1) continue;
-    dfs_.clear();
-    dfs_.emplace_back(s, adj_off_[static_cast<std::size_t>(s)]);
-    index_[static_cast<std::size_t>(s)] =
-        low_[static_cast<std::size_t>(s)] = next_index++;
-    scc_stack_.push_back(s);
-    on_stack_[static_cast<std::size_t>(s)] = 1;
-    while (!dfs_.empty()) {
-      const std::int32_t node = dfs_.back().first;
-      if (dfs_.back().second <
-          adj_off_[static_cast<std::size_t>(node) + 1]) {
-        const std::int32_t w =
-            adj_dat_[static_cast<std::size_t>(dfs_.back().second++)];
-        if (index_[static_cast<std::size_t>(w)] == -1) {
-          index_[static_cast<std::size_t>(w)] =
-              low_[static_cast<std::size_t>(w)] = next_index++;
-          scc_stack_.push_back(w);
-          on_stack_[static_cast<std::size_t>(w)] = 1;
-          dfs_.emplace_back(w, adj_off_[static_cast<std::size_t>(w)]);
-        } else if (on_stack_[static_cast<std::size_t>(w)] != 0) {
-          low_[static_cast<std::size_t>(node)] =
-              std::min(low_[static_cast<std::size_t>(node)],
-                       index_[static_cast<std::size_t>(w)]);
-        }
-        continue;
-      }
-      if (low_[static_cast<std::size_t>(node)] ==
-          index_[static_cast<std::size_t>(node)]) {
-        for (;;) {
-          const std::int32_t w = scc_stack_.back();
-          scc_stack_.pop_back();
-          on_stack_[static_cast<std::size_t>(w)] = 0;
-          scc_id_[static_cast<std::size_t>(w)] = scc_count;
-          if (w == node) break;
-        }
-        ++scc_count;
-      }
-      dfs_.pop_back();
-      if (!dfs_.empty()) {
-        const std::int32_t parent = dfs_.back().first;
-        low_[static_cast<std::size_t>(parent)] =
-            std::min(low_[static_cast<std::size_t>(parent)],
-                     low_[static_cast<std::size_t>(node)]);
-      }
-    }
-  }
-
-  // 5. Prune: an unmatched edge whose endpoints sit in different SCCs lies
-  // on no residual cycle, hence in no solution.  Matched edges and the
-  // except value itself always stay, so no domain can empty here (every
-  // variable keeps its matched value or `except`).  Removals run in
-  // ascending (position, value) order under the propagator's default
-  // full-scope reason — the same sequence in both propagation modes.
-  bool any_kill = false;
-  for (std::int32_t x = 0; x < n; ++x) {
-    const Domain64& d = solver.domain(vars_[static_cast<std::size_t>(x)]);
-    const Value base = d.base();
-    std::uint64_t bits = d.raw_mask();
-    if (Domain64::mask_contains(bits, base, except_)) {
-      bits &= ~(std::uint64_t{1} << static_cast<unsigned>(except_ - base));
-    }
-    const std::int32_t matched = match_of_pos_[static_cast<std::size_t>(x)];
-    const std::int32_t x_scc = scc_id_[static_cast<std::size_t>(x)];
-    std::uint64_t kill = 0;
-    while (bits != 0) {
-      const int off = std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::int32_t idx = base + off - vmin_;
-      if (idx == matched) continue;
-      if (scc_id_[static_cast<std::size_t>(n + idx)] != x_scc) {
-        kill |= std::uint64_t{1} << static_cast<unsigned>(off);
-      }
-    }
-    kill_[static_cast<std::size_t>(x)] = kill;
-    any_kill = any_kill || kill != 0;
-  }
-  if (!any_kill) return PropResult::kOk;
-  for (std::int32_t x = 0; x < n; ++x) {
-    const std::uint64_t kill = kill_[static_cast<std::size_t>(x)];
-    if (kill == 0) continue;
-    const VarId var = vars_[static_cast<std::size_t>(x)];
-    const Value base = solver.domain(var).base();
-    PropResult result = PropResult::kOk;
-    Domain64::for_each_in_mask(kill, base, [&](Value v) {
-      if (result == PropResult::kFail) return;
-      if (solver.remove(var, v) == PropResult::kFail) {
-        result = PropResult::kFail;
-      }
-    });
-    if (result == PropResult::kFail) return PropResult::kFail;
-  }
-  return PropResult::kOk;
-}
-
 PropResult AllDifferentExcept::propagate(Solver& solver) {
-  if (level_ == PropagationLevel::kMatching) {
-    return propagate_matching(solver);
-  }
   if (solver.scratch_mode() || !primed_) {
     // Forward-checking from every fixed variable; the incremental path only
     // does this once (at the root) to cover post_fix-ed variables, after
@@ -892,9 +598,8 @@ std::unique_ptr<Propagator> make_weighted_count_eq(
 }
 
 std::unique_ptr<Propagator> make_all_different_except(std::vector<VarId> vars,
-                                                      Value except,
-                                                      PropagationLevel level) {
-  return std::make_unique<AllDifferentExcept>(std::move(vars), except, level);
+                                                      Value except) {
+  return std::make_unique<AllDifferentExcept>(std::move(vars), except);
 }
 
 std::unique_ptr<Propagator> make_symmetry_chain(std::vector<VarId> vars,

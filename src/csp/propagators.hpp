@@ -41,15 +41,9 @@
 //   drain time, so entries stranded by a backjump are no-ops (never wrong).
 //   The buffers only ever over-approximate the work set.
 //
-// * The kMatching cached matching relies on post-restore domains being
-//   SUPERSETS of the state the matching was computed in.  That monotonicity
-//   argument is distance-independent: a jump over five levels restores a
-//   superset just like a single-level pop, so cached edges stay valid and
-//   the repair pass drops exactly the edges the new branch invalidated.
-//
-// None of these disciplines inspects the backtrack distance, which is the
-// invariant the multi-level-unwind consistency pins in csp_engine_test and
-// csp_uip_test lock down.
+// Neither discipline inspects the backtrack distance.  The multi-level-
+// unwind pins in csp_engine_test (incremental == scratch across jumps) and
+// csp_uip_test (jump vs chronological verdicts) lock that invariant down.
 #pragma once
 
 #include <memory>
@@ -156,33 +150,18 @@ class WeightedCountEq final : public Propagator {
 
 /// All variables taking a value != `except` take pairwise distinct values
 /// (constraint (8): a task occupies at most one processor per slot).
-///
-/// Two consistency levels (PropagationLevel, DESIGN.md §14):
-///
-/// * kForwardCheck (default) — wakes only on fixes; the advisor records
-///   newly fixed positions, so a run broadcasts each fixed value exactly
-///   once instead of rescanning the quadratic pair set.
-/// * kMatching — Régin-style GAC: a maximum matching on the value graph
-///   (vars that can avoid `except` must be matched to distinct values),
-///   repaired incrementally across events, with Tarjan SCCs over the
-///   residual graph pruning every edge that lies in no solution.  Prunes a
-///   strict superset of forward checking.  The matching is deliberately
-///   NOT trailed: along a branch domains only shrink, and after a
-///   backtrack they are supersets of any deeper state, so cached matching
-///   edges stay valid and only edges invalidated by the *new* branch need
-///   repair (the stale-tolerant-buffer discipline of DESIGN.md §2).
+/// Forward checking: wakes only on fixes; the advisor records newly fixed
+/// positions, so a run broadcasts each fixed value exactly once instead of
+/// rescanning the quadratic pair set.
 class AllDifferentExcept final : public Propagator {
  public:
-  AllDifferentExcept(std::vector<VarId> vars, Value except,
-                     PropagationLevel level = PropagationLevel::kForwardCheck);
+  AllDifferentExcept(std::vector<VarId> vars, Value except);
   PropResult propagate(Solver& solver) override;
   [[nodiscard]] WakePolicy wake_policy() const override {
-    return level_ == PropagationLevel::kMatching ? WakePolicy::kAnyChange
-                                                 : WakePolicy::kFixedOnly;
+    return WakePolicy::kFixedOnly;
   }
   [[nodiscard]] PropPriority priority() const override {
-    return level_ == PropagationLevel::kMatching ? PropPriority::kGlobal
-                                                 : PropPriority::kFast;
+    return PropPriority::kFast;
   }
   bool on_event(Solver& solver, std::int32_t pos,
                 std::uint64_t old_mask) override;
@@ -190,53 +169,21 @@ class AllDifferentExcept final : public Propagator {
     return vars_;
   }
   [[nodiscard]] const char* name() const override {
-    return level_ == PropagationLevel::kMatching ? "all-different-matching"
-                                                 : "all-different-except";
+    return "all-different-except";
   }
 
  private:
   PropResult broadcast(Solver& solver, std::size_t pos, Value v);
   void clear_marks();
 
-  // ---- kMatching machinery (DESIGN.md §14) ----------------------------
-  PropResult propagate_matching(Solver& solver);
-  /// Kuhn augmenting path from scope position `pos` over the current
-  /// domains; returns false when no augmenting path exists.
-  bool augment(Solver& solver, std::int32_t pos);
-  void init_matching(Solver& solver);
-
   std::vector<VarId> vars_;
   Value except_;
-  PropagationLevel level_;
   // Dirty marks per scope position (stale-tolerant: re-verified against the
   // current domain at drain time).  Drained in ascending position order so
   // the event sequence matches the scratch reference's scan exactly.
   std::vector<std::uint8_t> marked_;
   std::int32_t marked_count_ = 0;
   bool primed_ = false;
-
-  // Matching state, lazily sized on the first matching run.  Values are
-  // indexed by offset from vmin_ (the smallest value over all initial
-  // domains); the except value owns no node.
-  static constexpr Value kUnmatched = -1;
-  Value vmin_ = 0;
-  std::int32_t value_count_ = 0;
-  std::vector<std::int32_t> match_of_pos_;  ///< value index or kUnmatched
-  std::vector<std::int32_t> match_of_val_;  ///< scope position or kUnmatched
-  std::vector<std::int64_t> visit_stamp_;   ///< per-value Kuhn visit epoch
-  std::int64_t visit_epoch_ = 0;
-  // Residual-graph + Tarjan scratch (nodes: positions, then values, then
-  // Θ, then T); CSR adjacency rebuilt per run, no allocation once warm.
-  std::vector<std::uint8_t> present_;  ///< value in some current domain
-  std::vector<std::int32_t> adj_off_;
-  std::vector<std::int32_t> adj_dat_;
-  std::vector<std::int32_t> scc_id_;
-  std::vector<std::int32_t> low_;
-  std::vector<std::int32_t> index_;
-  std::vector<std::int32_t> scc_stack_;
-  std::vector<std::uint8_t> on_stack_;
-  std::vector<std::pair<std::int32_t, std::int32_t>> dfs_;
-  std::vector<std::uint64_t> kill_;  ///< per-position pruning masks
 };
 
 /// Symmetry-breaking chain over one group of identical processors: the
@@ -287,9 +234,8 @@ std::unique_ptr<Propagator> make_count_eq(std::vector<VarId> vars, Value value,
 std::unique_ptr<Propagator> make_weighted_count_eq(
     std::vector<VarId> vars, std::vector<std::int64_t> weights, Value value,
     std::int64_t target);
-std::unique_ptr<Propagator> make_all_different_except(
-    std::vector<VarId> vars, Value except,
-    PropagationLevel level = PropagationLevel::kForwardCheck);
+std::unique_ptr<Propagator> make_all_different_except(std::vector<VarId> vars,
+                                                      Value except);
 std::unique_ptr<Propagator> make_symmetry_chain(std::vector<VarId> vars,
                                                 Value idle);
 

@@ -167,15 +167,6 @@ void Solver::wake_list(const WatchList& list, VarId v,
   const auto end =
       static_cast<std::size_t>(list.offset[static_cast<std::size_t>(v) + 1]);
   stats_.events += static_cast<std::int64_t>(end - begin);
-  if (legacy_) {
-    // Pre-change emulation: no advisors, every watcher is queued.
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::int32_t pid = list.data[k].pid;
-      ++prop_wakes_[static_cast<std::size_t>(pid)];
-      enqueue(*propagators_[static_cast<std::size_t>(pid)]);
-    }
-    return;
-  }
   for (std::size_t k = begin; k < end; ++k) {
     const Watch w = list.data[k];
     Propagator& p = *propagators_[static_cast<std::size_t>(w.pid)];
@@ -678,11 +669,6 @@ std::int32_t Solver::entailment_depth(Lit lit) const {
 void Solver::build_watch_lists() {
   const std::size_t n = domains_.size();
 
-  // In legacy mode every propagator subscribes to every change on its
-  // scope, emulating the single-event pre-change watch lists.
-  auto effective_policy = [&](const Propagator& p) {
-    return legacy_ ? WakePolicy::kAnyChange : p.wake_policy();
-  };
   // The solve-owned nogood store gets direct delivery (notify_store), so
   // its all-variable scope never inflates the CSR lists: one fewer entry
   // to walk per variable per event on the hottest loop in the solver.
@@ -692,7 +678,7 @@ void Solver::build_watch_lists() {
   auto build = [&](WakePolicy policy, WatchList& list) {
     std::vector<std::int32_t> counts(n + 1, 0);
     for (const auto& p : propagators_) {
-      if (skip_store(*p) || effective_policy(*p) != policy) continue;
+      if (skip_store(*p) || p->wake_policy() != policy) continue;
       for (const VarId v : p->scope()) {
         ++counts[static_cast<std::size_t>(v) + 1];
       }
@@ -702,7 +688,7 @@ void Solver::build_watch_lists() {
     list.data.assign(static_cast<std::size_t>(counts[n]), Watch{0, 0});
     std::vector<std::int32_t> cursor = list.offset;
     for (const auto& p : propagators_) {
-      if (skip_store(*p) || effective_policy(*p) != policy) continue;
+      if (skip_store(*p) || p->wake_policy() != policy) continue;
       const auto& scope = p->scope();
       for (std::size_t pos = 0; pos < scope.size(); ++pos) {
         const auto v = static_cast<std::size_t>(scope[pos]);
@@ -912,8 +898,7 @@ Value Solver::select_value(const SearchOptions& options, VarId var,
 SolveOutcome Solver::solve(const SearchOptions& options) {
   support::Stopwatch watch;
   stats_ = SolveStats{};
-  scratch_ = options.propagation != PropagationMode::kIncremental;
-  legacy_ = options.propagation == PropagationMode::kLegacy;
+  scratch_ = options.propagation == PropagationMode::kScratch;
   support::Rng rng(options.seed);
 
   // Selection-heap setup must precede any domain traffic (the unfixed-set
@@ -927,16 +912,13 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
 
   // The nogood store joins the model as a propagator before the watch
   // lists freeze; it stays empty (and silent) until the first conflict.
-  // kLegacy skips advisors entirely, so watched-literal replay cannot run
-  // there — recording is disabled rather than silently inert.
   nogood_store_ = nullptr;
   // General (1-UIP) stores carry !=/<=/>= literals whose entailment can
   // move on prune events, so they watch every change; decision-set stores
   // keep the fix-only subscription.
   const bool uip_learning =
       options.nogood_shrink && options.nogood_learn == NogoodLearn::kUip1;
-  if (!frozen_ && !legacy_ &&
-      (options.nogoods || options.nogood_pool != nullptr) &&
+  if (!frozen_ && (options.nogoods || options.nogood_pool != nullptr) &&
       !domains_.empty()) {
     auto store = std::make_unique<NogoodStore>(
         variable_count(), options.nogood_max_length, options.nogood_max_lbd,
@@ -962,7 +944,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   // shrinking can use it (or the determinism probe forces it); otherwise
   // active_reason_ stays kReasonNone and no per-change work happens.
   track_reasons_ =
-      !legacy_ && !domains_.empty() &&
+      !domains_.empty() &&
       ((options.nogood_shrink && nogood_store_ != nullptr) ||
        options.force_reason_trail);
   active_reason_ = kReasonNone;
@@ -1126,32 +1108,32 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
         bump_failure(failing_prop_);
 
         // Conflict analysis must read the implication trail before the
-        // backtrack below unwinds the conflicting subtree.  Both walks are
-        // independent pure observers (each opens a fresh stamp epoch), so
-        // under kUip1 the decision-set walk — the differential reference
-        // behind uip_clause_len_ratio — only needs to run on sampled
-        // conflicts (every options.nogood_ds_sample'th); the rest go
-        // straight to the 1-UIP walk and fall back to a lazily-run
-        // decision-set walk when it fails.  Recorded clauses are identical
-        // for every sampling period.
+        // backtrack below unwinds the conflicting subtree.
         const bool can_analyze = nogood_store_ != nullptr &&
                                  track_reasons_ && failing_prop_ >= 0;
-        const std::int32_t ds_period = options.nogood_ds_sample;
-        const bool ds_sampled =
-            ds_period == 1 ||
-            (ds_period > 1 && (stats_.failures - 1) % ds_period == 0);
 
-        bool shrink = false;   ///< the decision-set walk ran and succeeded
+        // 1-UIP resolution (DESIGN.md §11): resolve the conflict level
+        // down to its first unique implication point and learn that
+        // literal frontier.  Gate on uip_learning, not the learn knob
+        // alone: analysis can be live through force_reason_trail while
+        // nogood_shrink is off, and the walk's scratch arrays are only
+        // sized for real 1-UIP runs.
         bool use_uip = false;  ///< record uip_lits_ instead of nogood_buf
+        if (uip_learning && can_analyze) {
+          use_uip = analyze_uip(root_mark.domain, top.mark.domain,
+                                options.nogood_minimize);
+        }
 
-        // Decision-set walk plus clause build: the decisions standing
+        // Decision-set clause (kDecisionSet learning, and the fallback when
+        // the 1-UIP walk meets an untracked entry): the decisions standing
         // below this frame (still fixed — nothing is unwound yet) plus the
         // assignment that just failed.  With analysis available, only the
         // decisions the conflict is actually reachable from are kept, and
         // the length cut applies to the minimized clause — deep conflicts
         // with local causes still record.
-        auto ds_walk = [&] {
-          shrink = can_analyze && analyze_conflict(root_mark.domain);
+        if (!use_uip) {
+          const bool shrink =
+              can_analyze && analyze_conflict(root_mark.domain);
           nogood_buf.clear();
           depth_buf.clear();
           if (nogood_store_ != nullptr &&
@@ -1171,34 +1153,6 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
             nogood_buf.push_back(Lit::eq(top.var, value));
             depth_buf.push_back(static_cast<std::int32_t>(frames.size()) -
                                 1);
-          }
-        };
-
-        // 1-UIP resolution (DESIGN.md §11): resolve the conflict level
-        // down to its first unique implication point and learn that
-        // literal frontier instead.  Structurally never longer than the
-        // decision set (the UIP walk expands a subset of the full walk's
-        // entries).  Gate on uip_learning, not the learn knob alone:
-        // analysis can be live through force_reason_trail while
-        // nogood_shrink is off, and the walk's scratch arrays are only
-        // sized for real 1-UIP runs.
-        if (uip_learning && can_analyze && !ds_sampled) {
-          // Unsampled fast path: skip the differential reference entirely.
-          use_uip = analyze_uip(root_mark.domain, top.mark.domain,
-                                options.nogood_minimize);
-          if (!use_uip) ds_walk();
-        } else {
-          ds_walk();
-          if (shrink && uip_learning) {
-            use_uip = analyze_uip(root_mark.domain, top.mark.domain,
-                                  options.nogood_minimize);
-            if (use_uip) {
-              stats_.nogood_lits_uip +=
-                  static_cast<std::int64_t>(uip_lits_.size());
-              stats_.nogood_lits_ds +=
-                  static_cast<std::int64_t>(nogood_buf.size());
-              MGRTS_ASSERT(uip_lits_.size() <= nogood_buf.size());
-            }
           }
         }
         failing_prop_ = -1;

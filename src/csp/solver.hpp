@@ -27,12 +27,15 @@
 //     trail; each entry additionally records its decision depth and the
 //     previous entry on the same variable, so the trail doubles as a
 //     literal-based implication graph (every entry *is* a csp::Lit becoming
-//     true).  Conflict analysis walks it backwards — either keeping the
-//     reachable decisions (NogoodLearn::kDecisionSet, DESIGN.md §10) or
-//     resolving to the first unique implication point and emitting the
-//     implied-literal frontier (NogoodLearn::kUip1, DESIGN.md §11).  With
-//     recording off the reason slot is a dead constant and search trees are
-//     bit-identical to a reason-free build;
+//     true).  Conflict analysis walks it backwards once per conflict: by
+//     default it resolves to the first unique implication point and emits
+//     the implied-literal frontier (NogoodLearn::kUip1, DESIGN.md §11),
+//     falling back to the reachable decisions (NogoodLearn::kDecisionSet,
+//     DESIGN.md §10) when the walk meets an untracked entry.  An asserting
+//     1-UIP clause unwinds straight to its assertion level and asserts the
+//     negated UIP literal there (non-chronological backjumping, DESIGN.md
+//     §15).  With recording off the reason slot is a dead constant and
+//     search trees are bit-identical to a reason-free build;
 //   * search is iterative (explicit frame stack), so model size — not
 //     recursion depth — is the only memory bound.
 #pragma once
@@ -463,8 +466,8 @@ class Solver {
   /// reachable decisions below it.  Fills uip_lits_/uip_depths_ (ascending
   /// depth, the UIP literal last) and returns true; false falls back to
   /// decision-set recording (untracked entry, or no conflict-level
-  /// dependency).  Must run before the conflict is backtracked, and after
-  /// any same-conflict analyze_conflict call (it reuses the stamp epoch).
+  /// dependency).  Must run before the conflict is backtracked.  Opens its
+  /// own stamp epoch, so the decision-set fallback walk may follow it.
   /// With `minimize` the walk additionally builds the implied-literal
   /// frontier form, prunes it by recursive self-subsumption, and keeps
   /// whichever of the two forms is shorter (DESIGN.md §15) — so the
@@ -506,7 +509,6 @@ class Solver {
   std::array<std::size_t, kPriorityLevels> queue_head_{};
 
   bool scratch_ = false;
-  bool legacy_ = false;
   SolveStats stats_;
   std::int32_t failing_prop_ = -1;
 

@@ -1,6 +1,7 @@
 #include "dist/worker.hpp"
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <utility>
 
@@ -185,19 +186,25 @@ bool WorkerServer::handle_shard(const support::Fd& connection,
     }
   };
 
-  std::atomic<bool> done{false};
+  // The beat thread waits out each interval on a condition variable, so
+  // the end of the shard wakes it at once: the trailer below never waits
+  // for the next beat tick.
+  std::mutex beat_mutex;
+  std::condition_variable beat_wake;
+  bool done = false;
   std::thread beater([&] {
     const auto interval = std::chrono::milliseconds(
         std::max<std::int64_t>(options_.beat_interval_ms, 1));
-    while (!done.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(interval);
-      if (done.load(std::memory_order_acquire)) break;
+    std::unique_lock<std::mutex> lock(beat_mutex);
+    while (!beat_wake.wait_for(lock, interval, [&] { return done; })) {
+      lock.unlock();
       serve::ShardBeat beat;
       beat.shard_id = request.shard_id;
       beat.beat = progress.beat();
       beat.done = progress.completed.load(std::memory_order_relaxed);
       beat.total = static_cast<std::int64_t>(request.indices.size());
       if (!send(serve::encode_shard_beat(beat))) break;
+      lock.lock();
     }
   });
 
@@ -226,7 +233,11 @@ bool WorkerServer::handle_shard(const support::Fd& connection,
     refusal_text = e.what();
   }
 
-  done.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(beat_mutex);
+    done = true;
+  }
+  beat_wake.notify_one();
   beater.join();
 
   if (write_failed.load(std::memory_order_relaxed)) {

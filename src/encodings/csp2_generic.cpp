@@ -72,8 +72,7 @@ Csp2GenericModel build_csp2_generic(const rt::TaskSet& ts,
     std::vector<VarId> column;
     column.reserve(static_cast<std::size_t>(m));
     for (ProcId j = 0; j < m; ++j) column.push_back(model.var(j, t));
-    solver.add(csp::make_all_different_except(std::move(column), idle,
-                                              options.alldiff_level));
+    solver.add(csp::make_all_different_except(std::move(column), idle));
   }
 
   // (9) / (12): per-job execution amount.

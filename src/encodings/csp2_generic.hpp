@@ -45,12 +45,6 @@ struct Csp2GenericOptions {
   ///   * more tight jobs over a slot than processors, or forced demand
   ///     over any prefix [0, L) exceeding m*L, is root-infeasible.
   bool root_demand_prunes = false;
-  /// Consistency level of the per-slot AllDifferentExcept columns:
-  /// kForwardCheck (the classic sweep, the differential baseline) or
-  /// kMatching (Régin-style GAC over the value graph, DESIGN.md §14).
-  /// Matching prunes a superset per node, so the verdict never changes and
-  /// trees never grow.
-  csp::PropagationLevel alldiff_level = csp::PropagationLevel::kForwardCheck;
 };
 
 struct Csp2GenericModel {

@@ -106,9 +106,8 @@ struct RunRecord {
   /// error, or an injected fault.  kNone for decided runs.
   core::FailureCause failure_cause = core::FailureCause::kNone;
   /// Nogood-learning stats of the run (SolveReport::nogoods; zeros unless
-  /// a generic-engine method recorded).  Carries the 1-UIP differential
-  /// counters (lits_uip/lits_ds — uip_len_ratio is the gated ledger view)
-  /// plus subsumption/LBD-refresh events for NogoodLearn::kUip1 runs.
+  /// a generic-engine method recorded), including subsumption/LBD-refresh
+  /// and backjump events for NogoodLearn::kUip1 runs.
   core::NogoodStats nogoods;
   /// Per-propagator wake/run/prune rows of the run (SolveReport::
   /// propagators; empty unless a generic-engine backend searched).

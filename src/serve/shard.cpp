@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 
 namespace mgrts::serve {
@@ -130,7 +131,6 @@ void append_run(std::string& body, const exp::RunRecord& run) {
   const bool any_ng = ng.recorded != 0 || ng.imported != 0 ||
                       ng.exported != 0 || ng.replay_hits != 0 ||
                       ng.lits_before != 0 || ng.lits_after != 0 ||
-                      ng.lits_uip != 0 || ng.lits_ds != 0 ||
                       ng.subsumed != 0 || ng.lbd_refreshed != 0 ||
                       ng.backjumps != 0 || ng.backjump_levels_saved != 0 ||
                       ng.lits_minimized != 0;
@@ -138,9 +138,8 @@ void append_run(std::string& body, const exp::RunRecord& run) {
     body += "ng";
     for (const std::int64_t value :
          {ng.recorded, ng.imported, ng.exported, ng.replay_hits,
-          ng.lits_before, ng.lits_after, ng.lits_uip, ng.lits_ds,
-          ng.subsumed, ng.lbd_refreshed, ng.backjumps,
-          ng.backjump_levels_saved, ng.lits_minimized}) {
+          ng.lits_before, ng.lits_after, ng.subsumed, ng.lbd_refreshed,
+          ng.backjumps, ng.backjump_levels_saved, ng.lits_minimized}) {
       body += ' ';
       body += std::to_string(value);
     }
@@ -351,17 +350,18 @@ ShardRow parse_shard_row(const Message& message) {
     exp::RunRecord& run = row.record.runs.back();
     if (line.rfind("ng ", 0) == 0) {
       const std::vector<std::string> tokens = split_tokens(line);
-      if (tokens.size() != 14) {
-        throw ProtocolError("ng line needs 13 counters: '" + line + "'");
-      }
       core::NogoodStats& ng = run.nogoods;
       std::int64_t* fields[] = {
-          &ng.recorded,  &ng.imported,     &ng.exported,
-          &ng.replay_hits, &ng.lits_before, &ng.lits_after,
-          &ng.lits_uip,  &ng.lits_ds,      &ng.subsumed,
-          &ng.lbd_refreshed, &ng.backjumps, &ng.backjump_levels_saved,
-          &ng.lits_minimized};
-      for (std::size_t i = 0; i < 13; ++i) {
+          &ng.recorded,    &ng.imported,      &ng.exported,
+          &ng.replay_hits, &ng.lits_before,   &ng.lits_after,
+          &ng.subsumed,    &ng.lbd_refreshed, &ng.backjumps,
+          &ng.backjump_levels_saved, &ng.lits_minimized};
+      constexpr std::size_t kCounters = std::size(fields);
+      if (tokens.size() != kCounters + 1) {
+        throw ProtocolError("ng line needs " + std::to_string(kCounters) +
+                            " counters: '" + line + "'");
+      }
+      for (std::size_t i = 0; i < kCounters; ++i) {
         *fields[i] = parse_i64(tokens[i + 1], "ng counter");
       }
       continue;

@@ -575,10 +575,9 @@ TEST(SymmetryChainFinesse, PairWorklistMatchesScratchOnChainHeavyModel) {
 
 TEST(EventEngine, ScratchModeSolvesAndMatchesStatusOnUnsat) {
   // Pigeonhole: 3 variables, 2 values, pairwise distinct — UNSAT in every
-  // mode, proving the reference modes also terminate on proofs.
+  // mode, proving the reference mode also terminates on proofs.
   for (const PropagationMode mode :
-       {PropagationMode::kIncremental, PropagationMode::kScratch,
-        PropagationMode::kLegacy}) {
+       {PropagationMode::kIncremental, PropagationMode::kScratch}) {
     Solver solver;
     std::vector<VarId> pigeons;
     for (int k = 0; k < 3; ++k) pigeons.push_back(solver.add_variable(0, 1));

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -480,6 +481,33 @@ TEST(MergeDeterminism, QuarantineCausesSurviveTheWire) {
   EXPECT_EQ(sharded.health.quarantined, truth.health.quarantined);
   EXPECT_GT(sharded.health.quarantined, 0);
   EXPECT_FALSE(sharded.health.first_error.empty());
+}
+
+// The shard-done trailer leaves as soon as the last row does: the end of
+// the shard wakes the beat thread, so a long beat interval never holds the
+// trailer back until the next tick.
+TEST(Worker, ShardEndDoesNotWaitForTheNextBeatTick) {
+  WorkerOptions options;
+  options.socket_path = test_socket_path("beat");
+  options.beat_interval_ms = 2'000;
+  WorkerServer worker(options);
+  worker.start();
+
+  exp::BatchOptions batch = small_batch();
+  batch.indices = {0};
+  FleetOptions fleet;
+  fleet.workers = {options.socket_path};
+  FleetStats stats;
+  const auto start = std::chrono::steady_clock::now();
+  const exp::BatchResult result = exp::run_batch_sharded(
+      batch, {"csp2-dmc"}, kTimeLimitMs, fleet, &stats);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  worker.stop();
+
+  ASSERT_EQ(result.instances.size(), 1u);
+  EXPECT_EQ(stats.local_fallbacks, 0);
+  EXPECT_EQ(worker.counters().rows, 1);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1'000));
 }
 
 TEST(Executor, CancelStopsAtTheNextIndexBoundary) {

@@ -164,7 +164,9 @@ TEST(Harness, BatchShapesAndMetadata) {
     EXPECT_GT(inst.ratio, 0.0);
     ASSERT_EQ(inst.runs.size(), 2u);
     for (const auto& run : inst.runs) {
-      if (run.found_schedule()) EXPECT_TRUE(run.witness_ok);
+      if (run.found_schedule()) {
+        EXPECT_TRUE(run.witness_ok);
+      }
       EXPECT_GE(run.seconds, 0.0);
     }
   }

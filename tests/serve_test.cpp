@@ -472,7 +472,7 @@ TEST(Service, UnknownKindAndUnknownMethodAreProtocolErrors) {
 
 TEST(Service, RawPayloadFunnelNeverThrows) {
   Service service;
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string("not a frame"), std::string(""),
         std::string("mgrts/1 solve\nbroken"),
         std::string(512, '\0')}) {

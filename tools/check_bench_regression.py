@@ -16,13 +16,10 @@ of the Table-I workload the presolve stages settle before search
 (presolve_decided_fraction), the diversified portfolio's wall-time ratio
 against the post-hoc best fixed value order (portfolio_vs_best_order), the
 conflict-analysis nogood shrink ratio on the pipeline residue
-(nogood_shrink_ratio), the 1-UIP vs decision-set clause-length ratio
-for the same conflicts (uip_clause_len_ratio), the forward-check vs
-matching-GAC nodes-to-verdict ratio of the AllDifferent columns
-(alldiff_prune_strength, higher is better), the backjump-lane vs
-decision-set nodes-to-verdict ratio (backjump_nodes_per_verdict_ratio,
-lower is better — non-chronological backjumping must keep beating the
-decision-set baseline per decisive answer), the fault-injection
+(nogood_shrink_ratio), the backjump-lane vs decision-set nodes-to-verdict
+ratio (backjump_nodes_per_verdict_ratio, lower is better —
+non-chronological backjumping must keep beating the decision-set baseline
+per decisive answer), the fault-injection
 hardening tax on a fault-free run (residue_faultfree_overhead), and the
 serving layer's repeat-mix throughput, cache hit ratio, and latency
 percentiles (serve_requests_per_sec, serve_cache_hit_ratio,
@@ -60,8 +57,6 @@ GATED_METRICS = (
     "portfolio_vs_best_order",
     "residue_nodes_per_sec",
     "nogood_shrink_ratio",
-    "uip_clause_len_ratio",
-    "alldiff_prune_strength",
     "backjump_nodes_per_verdict_ratio",
     "residue_faultfree_overhead",
     "serve_requests_per_sec",
@@ -74,7 +69,6 @@ GATED_METRICS = (
 # Metrics where smaller values are better; their regression test inverts.
 LOWER_IS_BETTER = frozenset({
     "nogood_shrink_ratio",
-    "uip_clause_len_ratio",
     "backjump_nodes_per_verdict_ratio",
     "residue_faultfree_overhead",
     "serve_p50_us",

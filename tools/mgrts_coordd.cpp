@@ -13,19 +13,21 @@
 // (true of any budgeted run); pass --max-nodes with a generous
 // --time-limit-ms for a fully deterministic comparison, exactly like the
 // determinism tests do.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "dist/coord.hpp"
 #include "exp/sharded.hpp"
 #include "support/deadline.hpp"
 
 namespace {
+
+constexpr const char* kProgram = "mgrts_coordd";
 
 void usage(const char* argv0) {
   std::printf(
@@ -48,32 +50,6 @@ void usage(const char* argv0) {
       "  --verify-local        re-run in-process and compare records;\n"
       "                        exit 1 on any mismatch\n",
       argv0);
-}
-
-std::int64_t parse_int(const char* flag, const char* text) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mgrts_coordd: %s expects an integer, got '%s'\n",
-                 flag, text);
-    std::exit(2);
-  }
-}
-
-std::vector<std::string> split_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string item =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? list.size() + 1 : comma + 1;
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 /// Budget-insensitive run comparison: the semantic fields always, the
@@ -125,37 +101,37 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto int_value = [&] {
+      return mgrts::cli::parse_int(kProgram, flag.c_str(), value());
+    };
     if (flag == "--help" || flag == "-h") {
       usage(argv[0]);
       return 0;
     } else if (flag == "--workers") {
-      fleet.workers = split_list(value());
+      fleet.workers = mgrts::cli::split_list(value());
     } else if (flag == "--specs") {
-      specs = split_list(value());
+      specs = mgrts::cli::split_list(value());
     } else if (flag == "--instances") {
-      batch.instances = parse_int("--instances", value());
+      batch.instances = int_value();
     } else if (flag == "--seed") {
-      batch.seed = static_cast<std::uint64_t>(parse_int("--seed", value()));
+      batch.seed = static_cast<std::uint64_t>(int_value());
     } else if (flag == "--tasks") {
-      batch.generator.tasks =
-          static_cast<std::int32_t>(parse_int("--tasks", value()));
+      batch.generator.tasks = static_cast<std::int32_t>(int_value());
     } else if (flag == "--processors") {
-      batch.generator.processors =
-          static_cast<std::int32_t>(parse_int("--processors", value()));
+      batch.generator.processors = static_cast<std::int32_t>(int_value());
     } else if (flag == "--tmax") {
-      batch.generator.t_max = parse_int("--tmax", value());
+      batch.generator.t_max = int_value();
     } else if (flag == "--time-limit-ms") {
-      time_limit_ms = parse_int("--time-limit-ms", value());
+      time_limit_ms = int_value();
     } else if (flag == "--max-nodes") {
-      fleet.max_nodes = parse_int("--max-nodes", value());
+      fleet.max_nodes = int_value();
     } else if (flag == "--max-attempts") {
-      fleet.max_attempts = static_cast<std::int32_t>(
-          std::max<std::int64_t>(1, parse_int("--max-attempts", value())));
+      fleet.max_attempts =
+          static_cast<std::int32_t>(std::max<std::int64_t>(1, int_value()));
     } else if (flag == "--shards") {
-      fleet.shards =
-          static_cast<std::int32_t>(parse_int("--shards", value()));
+      fleet.shards = static_cast<std::int32_t>(int_value());
     } else if (flag == "--stall-ms") {
-      fleet.stall_ms = parse_int("--stall-ms", value());
+      fleet.stall_ms = int_value();
     } else if (flag == "--verify-local") {
       verify_local = true;
     } else {

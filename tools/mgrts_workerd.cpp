@@ -17,14 +17,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <stdexcept>
 #include <string>
 
+#include "cli.hpp"
 #include "dist/worker.hpp"
-#include "support/fault.hpp"
 
 namespace {
+
+constexpr const char* kProgram = "mgrts_workerd";
 
 void usage(const char* argv0) {
   std::printf(
@@ -35,74 +35,15 @@ void usage(const char* argv0) {
       "  --handlers N             connection-handler threads (default 2)\n"
       "  --beat-interval-ms MS    shard progress-beat cadence (default 100)\n"
       "\n"
-      "chaos (deterministic fault injection, for the CI smoke):\n"
-      "  --fault-seed S           arm the injector with this seed\n"
-      "  --fault-rate R           per-evaluation firing probability [0,1]\n"
-      "  --fault-sites LIST       comma list: flow-network,job-table,\n"
-      "                           schedule-table,csp-var-budget,deadline,\n"
-      "                           propagator,stall (kCancel is sticky and\n"
-      "                           not servable; it is rejected here)\n"
-      "  --fault-max N            total fault cap (-1 unlimited)\n"
-      "  --fault-stall-cap-ms MS  upper bound on one injected stall\n",
-      argv0);
-}
-
-std::int64_t parse_int(const char* flag, const char* text) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mgrts_workerd: %s expects an integer, got '%s'\n",
-                 flag, text);
-    std::exit(2);
-  }
-}
-
-unsigned parse_sites(const std::string& list) {
-  using mgrts::support::FaultSite;
-  unsigned mask = 0;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string name =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? list.size() + 1 : comma + 1;
-    if (name.empty()) continue;
-    bool found = false;
-    for (int s = 0; s < mgrts::support::kFaultSiteCount; ++s) {
-      const auto site = static_cast<FaultSite>(s);
-      if (name == mgrts::support::to_string(site)) {
-        if (site == FaultSite::kCancel) {
-          // Sticky on its target token, like in the solve daemon: one
-          // fired kCancel would degrade every later shard sharing the
-          // plan's target.  The in-process dist chaos test covers it.
-          std::fprintf(stderr,
-                       "mgrts_workerd: fault site 'cancel' is not servable "
-                       "in a resident worker\n");
-          std::exit(2);
-        }
-        mask |= mgrts::support::FaultPlan::mask(site);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "mgrts_workerd: unknown fault site '%s'\n",
-                   name.c_str());
-      std::exit(2);
-    }
-  }
-  return mask;
+      "%s",
+      argv0, mgrts::cli::kFaultUsage);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   mgrts::dist::WorkerOptions options;
-  mgrts::support::FaultPlan plan;
-  bool arm = false;
+  mgrts::cli::FaultFlags faults(kProgram, "worker");
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -114,32 +55,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto int_value = [&] {
+      return mgrts::cli::parse_int(kProgram, flag.c_str(), value());
+    };
     if (flag == "--help" || flag == "-h") {
       usage(argv[0]);
       return 0;
     } else if (flag == "--socket") {
       options.socket_path = value();
     } else if (flag == "--handlers") {
-      options.handlers = static_cast<std::size_t>(
-          std::max<std::int64_t>(1, parse_int("--handlers", value())));
+      options.handlers =
+          static_cast<std::size_t>(std::max<std::int64_t>(1, int_value()));
     } else if (flag == "--beat-interval-ms") {
-      options.beat_interval_ms = std::max<std::int64_t>(
-          1, parse_int("--beat-interval-ms", value()));
-    } else if (flag == "--fault-seed") {
-      plan.seed =
-          static_cast<std::uint64_t>(parse_int("--fault-seed", value()));
-      arm = true;
-    } else if (flag == "--fault-rate") {
-      plan.rate = std::atof(value());
-      arm = true;
-    } else if (flag == "--fault-sites") {
-      plan.sites = parse_sites(value());
-      arm = true;
-    } else if (flag == "--fault-max") {
-      plan.max_faults = parse_int("--fault-max", value());
-    } else if (flag == "--fault-stall-cap-ms") {
-      plan.stall_cap_ms = parse_int("--fault-stall-cap-ms", value());
-    } else {
+      options.beat_interval_ms = std::max<std::int64_t>(1, int_value());
+    } else if (!faults.parse(flag, value)) {
       std::fprintf(stderr, "mgrts_workerd: unknown flag '%s'\n", flag.c_str());
       usage(argv[0]);
       return 2;
@@ -150,19 +79,7 @@ int main(int argc, char** argv) {
   // handler thread, not a process kill.
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (arm) {
-    if (plan.sites == 0 || plan.rate <= 0.0) {
-      std::fprintf(stderr,
-                   "mgrts_workerd: --fault-seed/--fault-rate/--fault-sites "
-                   "must be given together\n");
-      return 2;
-    }
-    mgrts::support::FaultInjector::arm(plan);
-    std::printf("mgrts_workerd: fault injector armed (seed=%llu rate=%g "
-                "sites=0x%x)\n",
-                static_cast<unsigned long long>(plan.seed), plan.rate,
-                plan.sites);
-  }
+  if (!faults.arm()) return 2;
 
   try {
     mgrts::dist::WorkerServer worker(options);
