@@ -33,6 +33,7 @@
 #include "flow/oracle.hpp"
 #include "gen/generator.hpp"
 #include "rt/jobs.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "support/fault.hpp"
@@ -873,13 +874,14 @@ void report_dist(bench::BenchJson& json, std::uint64_t seed) {
       batch, lineup, kBudgetMs, dist::FleetOptions{}, &single_stats);
   const double wall_single = single_watch.seconds();
 
-  std::vector<std::unique_ptr<dist::WorkerServer>> workers;
+  std::vector<std::unique_ptr<serve::Server>> workers;
   dist::FleetOptions fleet;
   for (int w = 0; w < 2; ++w) {
-    dist::WorkerOptions options;
+    serve::ServerOptions options;
     options.socket_path = "/tmp/mgrts_bench_dist_" + std::to_string(w) + "_" +
                           std::to_string(::getpid()) + ".sock";
-    workers.push_back(std::make_unique<dist::WorkerServer>(options));
+    workers.push_back(std::make_unique<serve::Server>(options));
+    dist::add_shard_route(*workers.back());
     workers.back()->start();
     fleet.workers.push_back(options.socket_path);
   }

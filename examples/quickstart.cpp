@@ -14,8 +14,8 @@
 //     (serve::Service) and watch the canonicalized verdict cache answer a
 //     permuted duplicate with provenance,
 //   * fan a generated batch across a one-worker shard fleet
-//     (exp::run_batch_sharded over a dist::WorkerServer) and check the
-//     merged records against the workerless reference run.
+//     (exp::run_batch_sharded over a serve::Server with the shard route)
+//     and check the merged records against the workerless reference run.
 //
 // Build & run:  ./quickstart   (also wired into ctest as a smoke test; the
 // exit code asserts the printed provenance)
@@ -31,6 +31,7 @@
 #include "exp/sharded.hpp"
 #include "rt/gantt.hpp"
 #include "rt/validate.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 
 int main() {
@@ -123,7 +124,7 @@ int main() {
   // propagator class's advisors asked to run (wakes), how often it actually
   // swept (runs), how many domain changes the sweeps made (prunes), and —
   // because prop_profile was set above — the wall time inside the sweeps.
-  for (const core::PropagatorStats& row : csp1_report.propagators) {
+  for (const csp::PropagatorProfile& row : csp1_report.propagators) {
     std::printf("propagator %-18s wakes %-8lld runs %-8lld prunes %-8lld "
                 "%.4fs\n",
                 row.name.c_str(), static_cast<long long>(row.wakes),
@@ -190,10 +191,11 @@ int main() {
   const exp::BatchResult reference =
       exp::run_batch_sharded(batch_options, lineup, /*time_limit_ms=*/5000);
 
-  dist::WorkerOptions worker_options;
+  serve::ServerOptions worker_options;
   worker_options.socket_path =
       "/tmp/mgrts_quickstart_" + std::to_string(::getpid()) + ".sock";
-  dist::WorkerServer worker(worker_options);
+  serve::Server worker(worker_options);
+  dist::add_shard_route(worker);
   worker.start();
   dist::FleetOptions fleet;
   fleet.workers = {worker_options.socket_path};

@@ -75,7 +75,7 @@ void print_json(const mgrts::core::SolveReport& report,
   std::printf("  \"detail\": \"%s\",\n", json_escape(report.detail).c_str());
   std::printf("  \"propagators\": [");
   for (std::size_t k = 0; k < report.propagators.size(); ++k) {
-    const mgrts::core::PropagatorStats& row = report.propagators[k];
+    const mgrts::csp::PropagatorProfile& row = report.propagators[k];
     std::printf("%s\n    {\"name\": \"%s\", \"wakes\": %lld, \"runs\": %lld, "
                 "\"prunes\": %lld, \"seconds\": %.6f}",
                 k == 0 ? "" : ",", json_escape(row.name).c_str(),

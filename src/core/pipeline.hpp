@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/verdict.hpp"
+#include "csp/options.hpp"
 #include "rt/platform.hpp"
 #include "rt/schedule.hpp"
 #include "rt/task_set.hpp"
@@ -113,18 +114,8 @@ struct NogoodStats {
                                  static_cast<double>(lits_before)
                            : 1.0;
   }
-};
 
-/// Per-propagator-class observability row of a generic-engine backend run
-/// (mirrors csp::PropagatorProfile): advisor wake-ups, actual sweeps, the
-/// domain changes those sweeps produced, and — only when the backend ran
-/// with csp::SearchOptions::prop_profile — wall time inside the sweeps.
-struct PropagatorStats {
-  std::string name;
-  std::int64_t wakes = 0;
-  std::int64_t runs = 0;
-  std::int64_t prunes = 0;
-  double seconds = 0.0;
+  bool operator==(const NogoodStats&) const = default;
 };
 
 /// What a stage (or backend) found.  Stages leave `verdict` at kUnknown to
@@ -146,7 +137,7 @@ struct StageResult {
   NogoodStats nogoods;  ///< generic-engine backends only; zeros elsewhere
   /// Per-propagator wake/run/prune rows, sorted by class name
   /// (generic-engine backends only; empty elsewhere).
-  std::vector<PropagatorStats> propagators;
+  std::vector<csp::PropagatorProfile> propagators;
 
   [[nodiscard]] bool decisive() const noexcept {
     return core::decisive(verdict, complete);

@@ -62,18 +62,6 @@ NogoodStats to_nogood_stats(const csp::SolveStats& stats) {
   return out;
 }
 
-/// Lifts the engine's per-propagator rows into the provenance shape.
-std::vector<PropagatorStats> to_propagator_stats(
-    const csp::SolveStats& stats) {
-  std::vector<PropagatorStats> out;
-  out.reserve(stats.propagators.size());
-  for (const csp::PropagatorProfile& row : stats.propagators) {
-    out.push_back(PropagatorStats{row.name, row.wakes, row.runs, row.prunes,
-                                  row.seconds});
-  }
-  return out;
-}
-
 /// Attributes a budget verdict to its FailureCause: wall expiry vs
 /// cooperative cancellation for kTimeout, node budget, memory.  Decisive
 /// verdicts and plain incomplete give-ups keep kNone.
@@ -152,7 +140,7 @@ class MethodBackend final : public Backend {
         out.nodes = outcome.stats.nodes;
         out.failures = outcome.stats.failures;
         out.nogoods = to_nogood_stats(outcome.stats);
-        out.propagators = to_propagator_stats(outcome.stats);
+        out.propagators = outcome.stats.propagators;
         if (outcome.status == csp::SolveStatus::kSat) {
           out.schedule = enc::decode_csp1(model, outcome.assignment);
         }
@@ -170,7 +158,7 @@ class MethodBackend final : public Backend {
         out.nodes = outcome.stats.nodes;
         out.failures = outcome.stats.failures;
         out.nogoods = to_nogood_stats(outcome.stats);
-        out.propagators = to_propagator_stats(outcome.stats);
+        out.propagators = outcome.stats.propagators;
         if (outcome.status == csp::SolveStatus::kSat) {
           out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
         }

@@ -182,7 +182,7 @@ struct SolveReport {
   /// Per-propagator wake/run/prune rows of the deciding backend (empty
   /// unless a generic-engine method ran; seconds only under
   /// SearchOptions::prop_profile).
-  std::vector<PropagatorStats> propagators;
+  std::vector<csp::PropagatorProfile> propagators;
   std::string detail;  ///< human-readable note (e.g. memory-limit reason)
 };
 

@@ -1,97 +1,41 @@
-// Worker side of the distributed batch layer (DESIGN.md §16): an AF_UNIX
-// daemon that executes shard requests and streams rows back.
+// Worker half of the distributed batch layer (DESIGN.md §16): the "shard"
+// route of the resident daemon's serve::Server.  Both daemon binaries
+// register it, so any of them can serve a coordinator, and ping/health/
+// shutdown are the server's own — mgrts_ctl drives every daemon alike.
 //
-// Shape follows serve::Server — accept loop over a small ThreadPool,
-// per-read poll timeouts so a stopping worker never parks a thread, and
-// the same control kinds ("ping"/"health"/"shutdown") so mgrts_ctl drives
-// a worker exactly like the solve daemon.  The difference is the "shard"
-// path: the request runs on the connection's handler thread through
-// dist::execute_shard, while a beat-sender thread samples the executor's
-// progress (solver heartbeat + completed rows) every beat_interval_ms and
-// interleaves "shard-beat" frames between the "shard-row" stream — writes
-// are mutex-serialized per connection.
+// A shard request runs on its connection's handler thread through
+// dist::execute_shard, while a beat thread samples the executor's progress
+// (solver heartbeat + completed rows) every beat_interval_ms and
+// interleaves "shard-beat" frames between the "shard-row" stream.  Both
+// streams leave through the server's per-request gate (serve::Reply).
 //
 // Failure behavior is the straggler contract's worker half: when a write
-// fails (the coordinator culled us, or died), the shard's cancel token
-// fires, the in-flight solve aborts at its next deadline poll, and the
-// handler drops the connection — the coordinator's re-dispatch owns the
-// indices from then on.  A malformed or unresolvable request gets a tagged
-// "error" response, never silence.
+// fails (the coordinator culled us, or died), the gate cancels the
+// request's token, the in-flight solve aborts at its next deadline poll,
+// and the server drops the connection — the coordinator's re-dispatch owns
+// the indices from then on.  A malformed or unresolvable request gets a
+// tagged "error" response, never silence.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
 
-#include "serve/wire.hpp"
-#include "support/deadline.hpp"
-#include "support/socket.hpp"
-#include "support/thread_pool.hpp"
+#include "serve/server.hpp"
 
 namespace mgrts::dist {
 
-struct WorkerOptions {
-  /// Filesystem path of the AF_UNIX socket; a stale file is replaced.
-  std::string socket_path = "/tmp/mgrts_worker.sock";
-  /// Concurrent connection handlers (a coordinator normally holds one
-  /// connection per worker, but ctl probes ride alongside).
-  std::size_t handlers = 2;
-  /// Idle-read poll, a stop-flag poll point (serve::Server's contract).
-  std::int64_t poll_interval_ms = 200;
-  /// Cadence of "shard-beat" frames while a shard runs.
-  std::int64_t beat_interval_ms = 100;
+/// Monotone counters of the shard route, appended to "health" responses.
+struct ShardCounters {
+  std::atomic<std::int64_t> shards{0};   ///< shard requests accepted
+  std::atomic<std::int64_t> rows{0};     ///< rows streamed back
+  std::atomic<std::int64_t> aborted{0};  ///< dropped mid-stream (peer loss)
+  std::atomic<std::int64_t> refused{0};  ///< tagged "error" responses sent
 };
 
-/// Monotone counters for "health" responses and shutdown logs.
-struct WorkerCounters {
-  std::int64_t shards = 0;          ///< shard requests accepted
-  std::int64_t rows = 0;            ///< rows streamed back
-  std::int64_t aborted = 0;         ///< shards dropped mid-stream (peer loss)
-  std::int64_t refused = 0;         ///< tagged "error" responses sent
-};
-
-class WorkerServer {
- public:
-  /// Binds the socket immediately; serving starts with run()/start().
-  explicit WorkerServer(WorkerOptions options);
-  ~WorkerServer();
-
-  WorkerServer(const WorkerServer&) = delete;
-  WorkerServer& operator=(const WorkerServer&) = delete;
-
-  /// Accept loop; blocks until stop() or an accepted "shutdown" request.
-  void run();
-  /// run() on a background thread (tests, quickstart, in-process fleets).
-  void start();
-  /// Graceful stop: stop accepting, cancel in-flight shards, join.
-  void stop();
-
-  [[nodiscard]] const std::string& socket_path() const noexcept {
-    return options_.socket_path;
-  }
-  [[nodiscard]] WorkerCounters counters() const;
-
- private:
-  void handle_connection(support::Fd connection);
-  /// Handles one shard request on `connection`; returns false when the
-  /// connection is no longer usable (peer vanished mid-stream).
-  bool handle_shard(const support::Fd& connection,
-                    const serve::Message& request);
-
-  WorkerOptions options_;
-  support::Fd listener_;
-  support::CancelToken stop_token_ = support::CancelToken::make();
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> shutdown_requested_{false};
-
-  mutable std::mutex counters_mutex_;
-  WorkerCounters counters_;
-
-  std::unique_ptr<support::ThreadPool> pool_;
-  std::thread accept_thread_;  // start() only
-};
+/// Registers the "shard" route on `server`, before it serves, with a
+/// "shard-beat" frame every `beat_interval_ms` while a shard runs.
+std::shared_ptr<const ShardCounters> add_shard_route(
+    serve::Server& server, std::int64_t beat_interval_ms = 100);
 
 }  // namespace mgrts::dist

@@ -111,7 +111,7 @@ struct RunRecord {
   core::NogoodStats nogoods;
   /// Per-propagator wake/run/prune rows of the run (SolveReport::
   /// propagators; empty unless a generic-engine backend searched).
-  std::vector<core::PropagatorStats> propagators;
+  std::vector<csp::PropagatorProfile> propagators;
 
   /// The paper's "overrun": the run did not decide within its budget.
   [[nodiscard]] bool overrun() const noexcept {

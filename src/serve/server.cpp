@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "serve/wire.hpp"
@@ -11,19 +12,34 @@ namespace mgrts::serve {
 
 namespace {
 
-/// Protocol-level refusal built without going through the Service (used
-/// when the frame itself was bad, so the Service never saw a payload).
-std::string protocol_refusal(const std::string& detail) {
-  Message error;
-  error.kind = "error";
-  error.set("error-kind", "protocol");
-  error.set("verdict", core::to_string(core::Verdict::kUnknown));
-  error.set("cause", core::to_string(core::FailureCause::kNone));
-  error.body = detail;
-  return format_message(error);
+/// The kind on a payload's tag line, or empty when that line is malformed;
+/// parse_message reads the same kind from a well-formed payload.
+std::string_view peek_kind(std::string_view payload) {
+  const std::string_view tag = kProtoTag;
+  if (payload.substr(0, tag.size()) != tag ||
+      payload.substr(tag.size(), 1) != " ") {
+    return {};
+  }
+  payload.remove_prefix(tag.size() + 1);
+  const std::size_t eol = payload.find('\n');
+  return eol == std::string_view::npos ? std::string_view{}
+                                       : payload.substr(0, eol);
 }
 
 }  // namespace
+
+bool Reply::send(const Message& message) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (failed()) return false;
+  try {
+    send_frame(connection_, format_message(message));
+    return true;
+  } catch (const std::exception&) {
+    failed_.store(true, std::memory_order_relaxed);
+    cancel_.cancel();
+    return false;
+  }
+}
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -31,6 +47,17 @@ Server::Server(ServerOptions options)
       listener_(support::listen_unix(options_.socket_path)),
       pool_(std::make_unique<support::ThreadPool>(
           std::max<std::size_t>(options_.workers, 1))) {
+  // "health" is the server's own route: the Service's counters, then
+  // every route's.
+  Route health;
+  health.handle = [this](const Message& request, Reply& reply) {
+    Message response = service_.handle_message(request);
+    for (const auto& [kind, route] : routes_) {
+      if (route.health) route.health(response);
+    }
+    reply.send(response);
+  };
+  add_route("health", std::move(health));
   if (options_.watchdog_stall_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
@@ -39,6 +66,25 @@ Server::Server(ServerOptions options)
 Server::~Server() {
   stop();
   std::remove(options_.socket_path.c_str());
+}
+
+void Server::add_route(std::string kind, Route route) {
+  routes_.emplace_back(std::move(kind), std::move(route));
+}
+
+const Route* Server::route_for(const std::string& payload,
+                               Message& request) const {
+  const std::string_view kind = peek_kind(payload);
+  for (const auto& [name, route] : routes_) {
+    if (name != kind) continue;
+    try {
+      request = parse_message(payload);
+    } catch (const ProtocolError&) {
+      return nullptr;
+    }
+    return &route;
+  }
+  return nullptr;
 }
 
 void Server::run() {
@@ -95,12 +141,25 @@ void Server::handle_connection(support::Fd connection) {
       // Oversized/corrupt length: answer, then close — after a framing
       // error the stream offset is unreliable.
       try {
-        send_frame(connection, protocol_refusal(e.what()));
+        send_frame(connection,
+                   format_message(error_message("protocol", e.what())));
       } catch (const support::SocketError&) {
       }
       return;
     } catch (const support::SocketError&) {
       return;  // transport failure or mid-frame EOF: nothing to answer
+    }
+
+    Message request;
+    if (const Route* route = route_for(payload, request)) {
+      Reply reply(connection, support::CancelToken::linked(stop_token_));
+      try {
+        route->handle(request, reply);
+      } catch (const std::exception& e) {
+        reply.send(error_message("internal", e.what()));
+      }
+      if (reply.failed()) return;  // peer vanished mid-stream
+      continue;
     }
 
     auto slot = std::make_shared<RequestSlot>();

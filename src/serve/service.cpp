@@ -44,20 +44,16 @@ std::string Service::handle(const std::string& payload,
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.requests;
-      ++counters_.protocol_errors;
-      if (counters_.first_error.empty()) counters_.first_error = e.what();
     }
-    response = make_error("protocol", e.what());
+    response = refuse(&ServiceCounters::protocol_errors, "protocol", e.what());
   } catch (const std::exception& e) {
     // parse_message only throws ProtocolError; this arm is pure insurance —
     // the funnel's promise is that NOTHING escapes as an exception.
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.requests;
-      ++counters_.internal_errors;
-      if (counters_.first_error.empty()) counters_.first_error = e.what();
     }
-    response = make_error("internal", e.what());
+    response = refuse(&ServiceCounters::internal_errors, "internal", e.what());
   }
   note_latency(watch.micros());
   return format_message(response);
@@ -115,36 +111,31 @@ Message Service::handle_message(const Message& request,
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.protocol_errors;
     }
-    return make_error("protocol",
-                      "unknown request kind '" + request.kind + "'");
+    return error_message("protocol",
+                         "unknown request kind '" + request.kind + "'");
   } catch (const ProtocolError& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.protocol_errors;
-    if (counters_.first_error.empty()) counters_.first_error = e.what();
-    return make_error("protocol", e.what());
+    return refuse(&ServiceCounters::protocol_errors, "protocol", e.what());
   } catch (const ParseError& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.parse_errors;
-    if (counters_.first_error.empty()) counters_.first_error = e.what();
-    return make_error("parse", e.what());
+    return refuse(&ServiceCounters::parse_errors, "parse", e.what());
   } catch (const ValidationError& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.validation_errors;
-    if (counters_.first_error.empty()) counters_.first_error = e.what();
-    return make_error("validation", e.what());
+    return refuse(&ServiceCounters::validation_errors, "validation", e.what());
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.internal_errors;
-    if (counters_.first_error.empty()) counters_.first_error = e.what();
-    return make_error("internal", e.what());
+    return refuse(&ServiceCounters::internal_errors, "internal", e.what());
   } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.internal_errors;
-    if (counters_.first_error.empty()) {
-      counters_.first_error = "non-exception throw in request handler";
-    }
-    return make_error("internal", "non-exception throw in request handler");
+    return refuse(&ServiceCounters::internal_errors, "internal",
+                  "non-exception throw in request handler");
   }
+}
+
+Message Service::refuse(std::int64_t ServiceCounters::*errors,
+                        const std::string& error_kind,
+                        const std::string& detail) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(counters_.*errors);
+    if (counters_.first_error.empty()) counters_.first_error = detail;
+  }
+  return error_message(error_kind, detail);
 }
 
 Message Service::handle_solve(const Message& request,
@@ -249,22 +240,6 @@ Message Service::handle_solve(const Message& request,
   if (health.quarantined > 0) ok.set("quarantined", std::int64_t{1});
   ok.body = report.detail;
   return ok;
-}
-
-Message Service::make_error(const std::string& error_kind,
-                            const std::string& detail) {
-  Message error;
-  error.kind = "error";
-  error.set("error-kind", error_kind);
-  error.set("verdict", core::to_string(core::Verdict::kUnknown));
-  // A bad request is the client's failure, not the solver's — only a
-  // contained handler exception is tagged kInternalError.
-  error.set("cause",
-            core::to_string(error_kind == "internal"
-                                ? core::FailureCause::kInternalError
-                                : core::FailureCause::kNone));
-  error.body = detail;
-  return error;
 }
 
 ServiceCounters Service::counters() const {

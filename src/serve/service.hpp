@@ -117,7 +117,10 @@ class Service {
 
  private:
   Message handle_solve(const Message& request, const RequestContext& context);
-  Message make_error(const std::string& error_kind, const std::string& detail);
+  /// Counts a contained failure in `errors`, keeps the first detail, and
+  /// builds the "error" response.
+  Message refuse(std::int64_t ServiceCounters::*errors,
+                 const std::string& error_kind, const std::string& detail);
   void note_latency(std::int64_t micros);
 
   ServiceOptions options_;

@@ -145,7 +145,7 @@ void append_run(std::string& body, const exp::RunRecord& run) {
     }
     body += '\n';
   }
-  for (const core::PropagatorStats& prop : run.propagators) {
+  for (const csp::PropagatorProfile& prop : run.propagators) {
     body += "prop ";
     body += std::to_string(prop.wakes);
     body += ' ';
@@ -373,7 +373,7 @@ ShardRow parse_shard_row(const Message& message) {
       if (!(in >> tag >> wakes >> runs >> prunes >> seconds)) {
         throw ProtocolError("malformed prop line: '" + line + "'");
       }
-      core::PropagatorStats prop;
+      csp::PropagatorProfile prop;
       prop.wakes = parse_i64(wakes, "prop wakes");
       prop.runs = parse_i64(runs, "prop runs");
       prop.prunes = parse_i64(prunes, "prop prunes");

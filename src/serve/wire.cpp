@@ -85,6 +85,18 @@ Message parse_message(const std::string& payload) {
   return message;
 }
 
+Message error_message(const std::string& kind, const std::string& detail) {
+  Message error;
+  error.kind = "error";
+  error.set("error-kind", kind);
+  error.set("verdict", core::to_string(core::Verdict::kUnknown));
+  error.set("cause", core::to_string(kind == "internal"
+                                         ? core::FailureCause::kInternalError
+                                         : core::FailureCause::kNone));
+  error.body = detail;
+  return error;
+}
+
 void send_frame(const support::Fd& fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) {
     throw ProtocolError("frame payload too large: " +

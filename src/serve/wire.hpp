@@ -89,6 +89,15 @@ struct Message {
 /// Parses a payload; throws ProtocolError with a reason on malformed input.
 [[nodiscard]] Message parse_message(const std::string& payload);
 
+/// The one "error" response.  `kind` is the `error-kind` header: `parse`
+/// (bad instance text), `validation` (structurally invalid request),
+/// `protocol` (malformed payload, unknown kind or method) or `internal`
+/// (contained handler exception).  The verdict is unknown, and the cause
+/// is kInternalError for `internal` only: a bad request is the client's
+/// failure, not the solver's.
+[[nodiscard]] Message error_message(const std::string& kind,
+                                    const std::string& detail);
+
 // ---------------------------------------------------------------- framing
 
 /// Sends `payload` as one frame.  Throws support::SocketError on transport

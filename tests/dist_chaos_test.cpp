@@ -17,6 +17,7 @@
 #include "dist/worker.hpp"
 #include "exp/harness.hpp"
 #include "exp/sharded.hpp"
+#include "serve/server.hpp"
 #include "support/fault.hpp"
 
 namespace mgrts::dist {
@@ -69,11 +70,11 @@ class WorkerFleet {
  public:
   WorkerFleet(int count, const char* tag) {
     for (int w = 0; w < count; ++w) {
-      WorkerOptions options;
+      serve::ServerOptions options;
       options.socket_path =
           test_socket_path((std::string(tag) + std::to_string(w)).c_str());
-      options.beat_interval_ms = 20;
-      workers_.push_back(std::make_unique<WorkerServer>(options));
+      workers_.push_back(std::make_unique<serve::Server>(options));
+      add_shard_route(*workers_.back(), /*beat_interval_ms=*/20);
       workers_.back()->start();
       sockets_.push_back(options.socket_path);
     }
@@ -86,7 +87,7 @@ class WorkerFleet {
   }
 
  private:
-  std::vector<std::unique_ptr<WorkerServer>> workers_;
+  std::vector<std::unique_ptr<serve::Server>> workers_;
   std::vector<std::string> sockets_;
 };
 

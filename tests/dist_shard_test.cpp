@@ -20,6 +20,7 @@
 #include "dist/worker.hpp"
 #include "exp/harness.hpp"
 #include "exp/sharded.hpp"
+#include "serve/server.hpp"
 #include "serve/shard.hpp"
 #include "serve/wire.hpp"
 #include "support/error.hpp"
@@ -99,9 +100,9 @@ TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
   decided.nogoods.backjump_levels_saved = 12;
   decided.nogoods.lits_minimized = 7;
   decided.propagators.push_back(
-      core::PropagatorStats{"all-different matching", 10, 8, 6, 0.25});
+      csp::PropagatorProfile{"all-different matching", 10, 8, 6, 0.25});
   decided.propagators.push_back(
-      core::PropagatorStats{"demand table", 4, 4, 0, 0.0});
+      csp::PropagatorProfile{"demand table", 4, 4, 0, 0.0});
 
   exp::RunRecord overrun;  // empty decided_by, a failure cause, no stats
   overrun.verdict = core::Verdict::kUnknown;
@@ -285,12 +286,7 @@ void expect_run_equal(const exp::RunRecord& a, const exp::RunRecord& b,
   EXPECT_EQ(a.nodes, b.nodes) << label;
   EXPECT_EQ(a.decided_by, b.decided_by) << label;
   EXPECT_EQ(a.failure_cause, b.failure_cause) << label;
-  EXPECT_EQ(a.nogoods.recorded, b.nogoods.recorded) << label;
-  EXPECT_EQ(a.nogoods.replay_hits, b.nogoods.replay_hits) << label;
-  EXPECT_EQ(a.nogoods.lits_before, b.nogoods.lits_before) << label;
-  EXPECT_EQ(a.nogoods.lits_after, b.nogoods.lits_after) << label;
-  EXPECT_EQ(a.nogoods.backjumps, b.nogoods.backjumps) << label;
-  EXPECT_EQ(a.nogoods.lits_minimized, b.nogoods.lits_minimized) << label;
+  EXPECT_EQ(a.nogoods, b.nogoods) << label;
   ASSERT_EQ(a.propagators.size(), b.propagators.size()) << label;
   for (std::size_t p = 0; p < a.propagators.size(); ++p) {
     EXPECT_EQ(a.propagators[p].name, b.propagators[p].name) << label;
@@ -399,11 +395,11 @@ class WorkerFleet {
  public:
   explicit WorkerFleet(int count, const char* tag) {
     for (int w = 0; w < count; ++w) {
-      WorkerOptions options;
+      serve::ServerOptions options;
       options.socket_path =
           test_socket_path((std::string(tag) + std::to_string(w)).c_str());
-      options.beat_interval_ms = 20;
-      workers_.push_back(std::make_unique<WorkerServer>(options));
+      workers_.push_back(std::make_unique<serve::Server>(options));
+      add_shard_route(*workers_.back(), /*beat_interval_ms=*/20);
       workers_.back()->start();
       sockets_.push_back(options.socket_path);
     }
@@ -414,10 +410,9 @@ class WorkerFleet {
   [[nodiscard]] const std::vector<std::string>& sockets() const {
     return sockets_;
   }
-  [[nodiscard]] WorkerServer& at(std::size_t k) { return *workers_[k]; }
 
  private:
-  std::vector<std::unique_ptr<WorkerServer>> workers_;
+  std::vector<std::unique_ptr<serve::Server>> workers_;
   std::vector<std::string> sockets_;
 };
 
@@ -487,10 +482,10 @@ TEST(MergeDeterminism, QuarantineCausesSurviveTheWire) {
 // the shard wakes the beat thread, so a long beat interval never holds the
 // trailer back until the next tick.
 TEST(Worker, ShardEndDoesNotWaitForTheNextBeatTick) {
-  WorkerOptions options;
+  serve::ServerOptions options;
   options.socket_path = test_socket_path("beat");
-  options.beat_interval_ms = 2'000;
-  WorkerServer worker(options);
+  serve::Server worker(options);
+  const auto counters = add_shard_route(worker, /*beat_interval_ms=*/2'000);
   worker.start();
 
   exp::BatchOptions batch = small_batch();
@@ -506,7 +501,7 @@ TEST(Worker, ShardEndDoesNotWaitForTheNextBeatTick) {
 
   ASSERT_EQ(result.instances.size(), 1u);
   EXPECT_EQ(stats.local_fallbacks, 0);
-  EXPECT_EQ(worker.counters().rows, 1);
+  EXPECT_EQ(counters->rows.load(), 1);
   EXPECT_LT(elapsed, std::chrono::milliseconds(1'000));
 }
 

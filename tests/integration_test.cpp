@@ -26,6 +26,8 @@ struct SweepParam {
   rt::Time t_max;
   bool offsets;
   int instances;
+  /// SolverAgreement: generic runs (of 2x instances) that must decide.
+  int min_generic_decided = 0;
 };
 
 std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
@@ -59,7 +61,12 @@ TEST_P(SolverAgreement, AllCompleteMethodsMatchOracle) {
           core::Method::kCsp2Dedicated}) {
       core::SolveConfig config;
       config.method = method;
-      config.time_limit_ms = 5'000;
+      config.time_limit_ms = 5'000;  // a backstop only
+      if (method != core::Method::kCsp2Dedicated) {
+        // A node budget, not the wall clock, bounds the generic searches:
+        // which runs decide is then the same in every build.
+        config.max_nodes = 100'000;
+      }
       config.generic = core::choco_like_defaults(param.seed + 1);
       // Presolve off: agreement must come from the searches themselves
       // (the pipeline-vs-direct equivalence lives in core_pipeline_test).
@@ -90,25 +97,26 @@ TEST_P(SolverAgreement, AllCompleteMethodsMatchOracle) {
       }
     }
   }
-  // The generic solvers must decide the majority of runs (agreement on a
-  // sweep where everything times out would be vacuous).  Individual sweeps
-  // may legitimately come out one-sided (all-feasible or all-infeasible);
-  // the parameter grid as a whole covers both outcomes.
+  // The generic solvers must decide the pinned share of runs (agreement on
+  // a sweep where everything overruns would be vacuous); under the node
+  // budget that count is exact.  Individual sweeps may legitimately come
+  // out one-sided (all-feasible or all-infeasible); the parameter grid as a
+  // whole covers both outcomes.
   static_cast<void>(feasible_count);
-  EXPECT_GT(generic_decided, param.instances);  // out of 2x instances runs
+  EXPECT_GE(generic_decided, param.min_generic_decided);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SolverAgreement,
     ::testing::Values(
-        SweepParam{101, 3, 2, 4, false, 15},
-        SweepParam{102, 4, 2, 5, false, 15},
-        SweepParam{103, 4, 3, 4, false, 15},
-        SweepParam{104, 3, 2, 4, true, 15},
-        SweepParam{105, 4, 2, 5, true, 15},
-        SweepParam{106, 5, 2, 4, false, 12},
-        SweepParam{107, 5, 4, 5, true, 12},
-        SweepParam{108, 4, 2, 6, true, 12}),
+        SweepParam{101, 3, 2, 4, false, 15, 30},
+        SweepParam{102, 4, 2, 5, false, 15, 29},
+        SweepParam{103, 4, 3, 4, false, 15, 30},
+        SweepParam{104, 3, 2, 4, true, 15, 30},
+        SweepParam{105, 4, 2, 5, true, 15, 30},
+        SweepParam{106, 5, 2, 4, false, 12, 24},
+        SweepParam{107, 5, 4, 5, true, 12, 24},
+        SweepParam{108, 4, 2, 6, true, 12, 23}),
     sweep_name);
 
 class BaselineSoundness : public ::testing::TestWithParam<SweepParam> {};

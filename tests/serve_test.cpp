@@ -1,9 +1,10 @@
 // Serving layer (DESIGN.md §13): wire protocol, canonical cache keys, the
 // verdict cache, the in-process Service funnel, and the socket daemon
-// end to end.  The contract under test everywhere: a request that reaches
-// the serving layer ALWAYS gets a tagged response carrying the canonical
-// Verdict/FailureCause vocabulary, and a cached answer is indistinguishable
-// from a fresh one except for its "cache:" provenance prefix.
+// end to end, shard route included.  The contract under test everywhere: a
+// request that reaches the serving layer ALWAYS gets a tagged response
+// carrying the canonical Verdict/FailureCause vocabulary, and a cached
+// answer is indistinguishable from a fresh one except for its "cache:"
+// provenance prefix.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,6 +18,9 @@
 #include "core/canonical.hpp"
 #include "core/instance_io.hpp"
 #include "core/solve.hpp"
+#include "dist/coord.hpp"
+#include "dist/worker.hpp"
+#include "exp/sharded.hpp"
 #include "flow/oracle.hpp"
 #include "gen/generator.hpp"
 #include "serve/cache.hpp"
@@ -701,6 +705,81 @@ TEST(Daemon, GarbageBytesOnTheSocketGetARefusalNotACrash) {
     // The daemon is still alive and serving afterwards.
     Client client(options.socket_path);
     EXPECT_TRUE(client.ping());
+  }
+
+  server.stop();
+}
+
+// One daemon, one socket: the Service answers solves and control requests
+// while the fleet's "shard" route serves a coordinator, and the two share
+// one health ledger and one error vocabulary.
+TEST(Daemon, OneServerAnswersSolvesAndShards) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("one");
+  options.workers = 2;
+  Server server(options);
+  dist::add_shard_route(server, /*beat_interval_ms=*/20);
+  server.start();
+
+  {
+    Client client(options.socket_path);
+    const SolveResult result = client.solve(core::write_instance_string(
+        testing::example1(), testing::example1_platform()));
+    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.verdict, core::Verdict::kFeasible);
+  }
+
+  exp::BatchOptions batch;
+  batch.generator.tasks = 6;
+  batch.generator.processors = 3;
+  batch.generator.t_max = 5;
+  batch.instances = 4;
+  dist::FleetOptions fleet;
+  fleet.workers = {options.socket_path};
+  fleet.shards = 2;
+  dist::FleetStats stats;
+  const exp::BatchResult sharded = exp::run_batch_sharded(
+      batch, {"csp2-dmc"}, /*time_limit_ms=*/20'000, fleet, &stats);
+  EXPECT_EQ(sharded.instances.size(), 4u);
+  EXPECT_EQ(stats.transport_failures, 0);
+  EXPECT_EQ(stats.local_fallbacks, 0);
+
+  {
+    // One connection: a malformed payload (of a routed kind) and an unknown
+    // kind are refused in the service's vocabulary, and the connection
+    // stays open.
+    support::Fd fd = support::connect_unix(options.socket_path);
+    const auto round_trip = [&](const std::string& payload) {
+      send_frame(fd, payload);
+      std::string response;
+      EXPECT_TRUE(recv_frame(fd, response, 5'000));
+      return parse_message(response);
+    };
+    const Message malformed = round_trip("mgrts/1 shard\nno-blank-line\n");
+    EXPECT_EQ(malformed.kind, "error");
+    EXPECT_EQ(malformed.get("error-kind"), "protocol");
+    Message unknown;
+    unknown.kind = "frobnicate";
+    const Message refused = round_trip(format_message(unknown));
+    EXPECT_EQ(refused.kind, "error");
+    EXPECT_EQ(refused.get("error-kind"), "protocol");
+    Message ping;
+    ping.kind = "ping";
+    ping.set("id", "after-refusals");
+    const Message pong = round_trip(format_message(ping));
+    EXPECT_EQ(pong.kind, "pong");
+    EXPECT_EQ(pong.get("id"), "after-refusals");
+  }
+  {
+    Client client(options.socket_path);
+    const Message health = client.health();
+    EXPECT_EQ(health.kind, "health");
+    EXPECT_EQ(health.get_int("solved"), 1);
+    EXPECT_EQ(health.get_int("protocol-errors"), 2);
+    EXPECT_EQ(health.get_int("shards"), 2);
+    EXPECT_EQ(health.get_int("rows"), 4);
+    EXPECT_EQ(health.get_int("aborted"), 0);
+    EXPECT_EQ(health.get_int("refused"), 0);
   }
 
   server.stop();

@@ -61,12 +61,10 @@ inline constexpr const char* kFaultUsage =
     "  --fault-stall-cap-ms MS  upper bound on one injected stall\n";
 
 /// The --fault-* flags of a resident daemon: they arm the deterministic
-/// process-wide FaultInjector before serving starts.  `resident` names the
-/// kind of process in the refusal of the cancel site ("daemon", "worker").
+/// process-wide FaultInjector before serving starts.
 class FaultFlags {
  public:
-  FaultFlags(const char* program, const char* resident)
-      : program_(program), resident_(resident) {}
+  explicit FaultFlags(const char* program) : program_(program) {}
 
   /// Consumes `flag` when it is a --fault-* flag, reading its argument
   /// through `value()`; returns false for every other flag.
@@ -125,8 +123,8 @@ class FaultFlags {
           // plan's target.  The in-process chaos suites cover it instead.
           std::fprintf(stderr,
                        "%s: fault site 'cancel' is not servable in a "
-                       "resident %s\n",
-                       program_, resident_);
+                       "resident daemon\n",
+                       program_);
           std::exit(2);
         }
         mask |= support::FaultPlan::mask(site);
@@ -143,7 +141,6 @@ class FaultFlags {
   }
 
   const char* program_;
-  const char* resident_;
   support::FaultPlan plan_;
   bool arm_ = false;
 };

@@ -72,11 +72,7 @@ bool runs_match(const mgrts::exp::RunRecord& a, const mgrts::exp::RunRecord& b,
       a.verdict == mgrts::core::Verdict::kTimeout;
   if (!wall_shaped) {
     if (a.nodes != b.nodes) return fail("nodes");
-    if (a.nogoods.recorded != b.nogoods.recorded ||
-        a.nogoods.replay_hits != b.nogoods.replay_hits ||
-        a.nogoods.lits_after != b.nogoods.lits_after) {
-      return fail("nogood stats");
-    }
+    if (a.nogoods != b.nogoods) return fail("nogood stats");
   }
   return true;
 }

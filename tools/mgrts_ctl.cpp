@@ -156,8 +156,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: mgrts_ctl [--socket PATH] "
                  "ping|solve|health|shutdown|smoke ...\n"
-                 "  ping/health/shutdown also drive mgrts_workerd sockets\n"
-                 "  (the shard workers speak the same control kinds)\n");
+                 "  mgrts_serverd and mgrts_workerd run the same daemon:\n"
+                 "  every command drives either socket\n");
     return 2;
   }
   const std::string command = args[pos++];
