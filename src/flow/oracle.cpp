@@ -1,20 +1,247 @@
 #include "flow/oracle.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "flow/dinic.hpp"
 #include "rt/jobs.hpp"
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
+#include "support/math.hpp"
 
 namespace mgrts::flow {
+
+namespace {
 
 using rt::ProcId;
 using rt::Schedule;
 using rt::TaskId;
 using rt::Time;
+
+// Node and arc ids.  The size guard bounds the forward arcs by
+// rt::JobTable::kDefaultSlotBudget, so nodes and arcs (twice the forward
+// arcs) both stay far below 2^31.
+using Index = std::int32_t;
+
+constexpr std::size_t ix(Index i) { return static_cast<std::size_t>(i); }
+
+/// J + sum of window lengths + T, or nullopt when it overflows 64 bits.
+std::optional<std::int64_t> forward_arcs(const rt::TaskSet& ts) {
+  std::optional<std::int64_t> total = ts.hyperperiod();
+  for (TaskId i = 0; i < ts.size() && total; ++i) {
+    const auto arcs = support::checked_mul(ts.jobs_per_hyperperiod(i),
+                                           1 + ts[i].deadline());
+    total = arcs ? support::checked_add(*total, *arcs) : arcs;
+  }
+  return total;
+}
+
+/// The job -> slot network in compressed sparse row form: the arcs of node
+/// u are [head[u], head[u+1]); arc a enters to[a] with residual capacity
+/// cap[a], and rev[a] is its residual twin.
+struct Network {
+  std::vector<Index> head;
+  std::vector<Index> to;
+  std::vector<Index> rev;
+  std::vector<std::int32_t> cap;
+  Index first_slot = 0;
+  Index sink = 0;
+
+  static constexpr Index kSource = 0;
+
+  [[nodiscard]] Index begin(Index u) const { return head[ix(u)]; }
+  [[nodiscard]] Index end(Index u) const { return head[ix(u) + 1]; }
+  void push(Index a, std::int32_t f) {
+    cap[ix(a)] -= f;
+    cap[ix(rev[ix(a)])] += f;
+  }
+};
+
+/// Lays the network out straight from the task parameters, in the node and
+/// arc order oracle.hpp describes.
+Network build(const rt::TaskSet& ts, std::int32_t m, Index jobs, Index arcs) {
+  const auto T = static_cast<Index>(ts.hyperperiod());
+  Network net;
+  net.first_slot = 1 + jobs;
+  net.sink = net.first_slot + T;
+  const Index nodes = net.sink + 1;
+
+  // Degrees land in head[u + 1] and a prefix sum turns them into offsets.
+  // A slot's degree counts the windows covering it (a difference array
+  // over the cyclic windows) plus its sink arc.
+  net.head.assign(ix(nodes) + 1, 0);
+  Index* const slot_degree = net.head.data() + net.first_slot + 1;
+  net.head[1] = jobs;
+  net.head[ix(nodes)] = T;
+  Index job = 1;
+  for (TaskId i = 0; i < ts.size(); ++i) {
+    const rt::Task& task = ts[i];
+    const auto D = static_cast<Index>(task.deadline());
+    const Time count = ts.jobs_per_hyperperiod(i);
+    for (Time k = 0; k < count; ++k, ++job) {
+      net.head[ix(job) + 1] = 1 + D;
+      const auto release =
+          static_cast<Index>(task.offset() + k * task.period());
+      ++slot_degree[release];
+      if (release + D < T) {
+        --slot_degree[release + D];
+      } else if (release + D > T) {  // the window wraps past T
+        ++slot_degree[0];
+        --slot_degree[release + D - T];
+      }
+    }
+  }
+  for (Index s = 0, covering = 0; s < T; ++s) {
+    covering += slot_degree[s];
+    slot_degree[s] = covering + 1;
+  }
+  std::partial_sum(net.head.begin(), net.head.end(), net.head.begin());
+  MGRTS_ASSERT(net.head[ix(nodes)] == arcs);
+
+  net.to.resize(ix(arcs));
+  net.rev.resize(ix(arcs));
+  net.cap.assign(ix(arcs), 0);
+  auto link = [&](Index a, Index u, Index b, Index v, std::int32_t cap) {
+    net.to[ix(a)] = v;
+    net.rev[ix(a)] = b;
+    net.cap[ix(a)] = cap;
+    net.to[ix(b)] = u;
+    net.rev[ix(b)] = a;
+  };
+
+  // Next free back-arc position of each slot.  Jobs arrive in index order,
+  // so every slot lists its jobs ascending.
+  std::vector<Index> next(net.head.begin() + net.first_slot,
+                          net.head.begin() + net.sink);
+  job = 1;
+  for (TaskId i = 0; i < ts.size(); ++i) {
+    const rt::Task& task = ts[i];
+    const auto C = static_cast<std::int32_t>(task.wcet());
+    const auto D = static_cast<Index>(task.deadline());
+    const Time count = ts.jobs_per_hyperperiod(i);
+    for (Time k = 0; k < count; ++k, ++job) {
+      Index a = net.begin(job);
+      link(job - 1, Network::kSource, a, job, C);  // source arcs: job order
+      auto s = static_cast<Index>(task.offset() + k * task.period());
+      for (Index d = 0; d < D; ++d) {
+        link(++a, job, next[ix(s)]++, net.first_slot + s, 1);
+        if (++s == T) s = 0;
+      }
+    }
+  }
+  for (Index s = 0; s < T; ++s) {
+    const Index slot = net.first_slot + s;
+    link(net.end(slot) - 1, slot, net.begin(net.sink) + s, net.sink, m);
+  }
+  return net;
+}
+
+/// Jobs in index order take their earliest slots whose sink arc has room.
+/// Returns the flow placed.
+std::int64_t warm_start(Network& net) {
+  std::int64_t placed = 0;
+  for (Index job = 1; job < net.first_slot; ++job) {
+    const Index from_source = net.rev[ix(net.begin(job))];
+    const std::int32_t need = net.cap[ix(from_source)];
+    std::int32_t got = 0;
+    for (Index a = net.begin(job) + 1; a < net.end(job) && got < need; ++a) {
+      const Index to_sink = net.end(net.to[ix(a)]) - 1;
+      if (net.cap[ix(to_sink)] == 0) continue;
+      net.push(a, 1);
+      net.push(to_sink, 1);
+      ++got;
+    }
+    net.push(from_source, got);
+    placed += got;
+  }
+  return placed;
+}
+
+/// Iterative Dinic on top of `flow` already placed: BFS levels over the
+/// residual network, then a blocking flow along current arcs with an
+/// explicit arc stack.  Stops once `demand` flows; returns the total flow.
+std::int64_t dinic(Network& net, std::int64_t flow, std::int64_t demand) {
+  const std::size_t nodes = ix(net.sink) + 1;
+  std::vector<Index> level(nodes);
+  std::vector<Index> current(nodes);
+  std::vector<Index> queue(nodes);  // the BFS queue, then the DFS arc stack
+
+  auto bfs = [&] {
+    std::fill(level.begin(), level.end(), -1);
+    level[ix(Network::kSource)] = 0;
+    std::size_t tail = 0;
+    queue[tail++] = Network::kSource;
+    for (std::size_t at = 0; at < tail; ++at) {
+      const Index u = queue[at];
+      const Index next = level[ix(u)] + 1;
+      for (Index a = net.begin(u); a < net.end(u); ++a) {
+        const Index v = net.to[ix(a)];
+        if (net.cap[ix(a)] == 0 || level[ix(v)] >= 0) continue;
+        level[ix(v)] = next;
+        if (v == net.sink) {
+          // Every node below the sink's level is labelled; the others on
+          // its level cannot lead to it.
+          while (level[ix(queue[tail - 1])] == next) {
+            level[ix(queue[--tail])] = -1;
+          }
+          return true;
+        }
+        queue[tail++] = v;
+      }
+    }
+    return false;
+  };
+
+  // The node the arc stack reaches after its first `depth` arcs.
+  auto tail_of = [&](std::size_t depth) {
+    return depth == 0 ? Network::kSource : net.to[ix(queue[depth - 1])];
+  };
+  while (flow < demand && bfs()) {
+    std::copy(net.head.begin(), net.head.end() - 1, current.begin());
+    std::size_t top = 0;
+    Index u = Network::kSource;
+    for (;;) {
+      if (u == net.sink) {
+        std::int32_t f = net.cap[ix(queue[0])];
+        for (std::size_t k = 1; k < top; ++k) {
+          f = std::min(f, net.cap[ix(queue[k])]);
+        }
+        std::size_t saturated = top;
+        for (std::size_t k = 0; k < top; ++k) {
+          net.push(queue[k], f);
+          if (saturated == top && net.cap[ix(queue[k])] == 0) saturated = k;
+        }
+        flow += f;
+        top = saturated;  // resume at the tail of the first saturated arc
+        u = tail_of(top);
+        continue;
+      }
+      Index& a = current[ix(u)];
+      const Index next = level[ix(u)] + 1;
+      const Index end = net.end(u);
+      while (a < end &&
+             (net.cap[ix(a)] == 0 || level[ix(net.to[ix(a)])] != next)) {
+        ++a;
+      }
+      if (a < end) {
+        queue[top++] = a;
+        u = net.to[ix(a)];
+      } else if (u == Network::kSource) {
+        break;
+      } else {
+        level[ix(u)] = -1;  // a dead end: prune it for the rest of the phase
+        u = tail_of(--top);
+      }
+    }
+  }
+  return flow;
+}
+
+}  // namespace
 
 OracleResult decide_feasibility(const rt::TaskSet& ts,
                                 const rt::Platform& platform) {
@@ -28,51 +255,31 @@ OracleResult decide_feasibility(const rt::TaskSet& ts,
         "first");
   }
 
+  // The one size guard, before anything is allocated.
+  support::fault_point(support::FaultSite::kJobTable);
+  constexpr std::int64_t kBudget = rt::JobTable::kDefaultSlotBudget;
+  const auto forward = forward_arcs(ts);
+  if (!forward || *forward > kBudget) {
+    throw ResourceError("flow oracle: the network needs more than " +
+                        std::to_string(kBudget) +
+                        " forward arcs (jobs + window slots + hyperperiod)");
+  }
+
   const Time T = ts.hyperperiod();
   const std::int32_t m = platform.processors();
-  const rt::JobTable jobs(ts);
-
-  // Node layout: 0 = source, 1..J = jobs, J+1..J+T = slots, last = sink.
-  const auto job_count = static_cast<std::int64_t>(jobs.size());
-  const std::int64_t node_count = 2 + job_count + T;
-  support::fault_point(support::FaultSite::kFlowNetwork);
-  if (node_count > (std::int64_t{1} << 30)) {
-    throw ResourceError("flow network too large");
-  }
-  const auto source = NodeId{0};
-  const auto sink = static_cast<NodeId>(node_count - 1);
-  auto job_node = [&](std::int64_t idx) {
-    return static_cast<NodeId>(1 + idx);
-  };
-  auto slot_node = [&](Time t) {
-    return static_cast<NodeId>(1 + job_count + t);
-  };
-
-  Dinic net(static_cast<NodeId>(node_count));
-
+  Index jobs = 0;
   std::int64_t demand = 0;
-  std::vector<std::int32_t> source_edge(jobs.size());
-  // job -> slot edge ids, parallel to each job's slot list.
-  std::vector<std::vector<std::int32_t>> slot_edges(jobs.size());
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const rt::Job& job = jobs.jobs()[idx];
-    demand += job.wcet;
-    source_edge[idx] = net.add_edge(source, job_node(
-        static_cast<std::int64_t>(idx)), job.wcet);
-    slot_edges[idx].reserve(job.slots.size());
-    for (const Time t : job.slots) {
-      slot_edges[idx].push_back(
-          net.add_edge(job_node(static_cast<std::int64_t>(idx)),
-                       slot_node(t), 1));
-    }
+  for (TaskId i = 0; i < ts.size(); ++i) {
+    jobs += static_cast<Index>(ts.jobs_per_hyperperiod(i));
+    demand += ts.jobs_per_hyperperiod(i) * ts[i].wcet();
   }
-  for (Time t = 0; t < T; ++t) {
-    net.add_edge(slot_node(t), sink, m);
-  }
+
+  support::fault_point(support::FaultSite::kFlowNetwork);
+  Network net = build(ts, m, jobs, static_cast<Index>(2 * *forward));
 
   OracleResult result;
   result.demand = demand;
-  result.flow = net.max_flow(source, sink);
+  result.flow = dinic(net, warm_start(net), demand);
   MGRTS_ASSERT(result.flow <= demand);
   if (result.flow != demand) {
     result.verdict = OracleVerdict::kInfeasible;
@@ -81,24 +288,21 @@ OracleResult decide_feasibility(const rt::TaskSet& ts,
 
   result.verdict = OracleVerdict::kFeasible;
 
-  // Extract the witness: collect the tasks pushing flow through each slot,
-  // then assign processors in ascending task order.
-  std::vector<std::vector<TaskId>> slot_tasks(static_cast<std::size_t>(T));
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const rt::Job& job = jobs.jobs()[idx];
-    for (std::size_t p = 0; p < job.slots.size(); ++p) {
-      if (net.flow_on(slot_edges[idx][p]) > 0) {
-        slot_tasks[static_cast<std::size_t>(job.slots[p])].push_back(job.task);
-      }
-    }
-  }
+  // A saturated job -> slot arc means the job runs in that slot.  Jobs come
+  // in index order, which is ascending task order, so each slot hands out
+  // processors 0..k-1 in ascending task order: the canonical assignment.
   Schedule schedule(T, m);
-  for (Time t = 0; t < T; ++t) {
-    auto& tasks = slot_tasks[static_cast<std::size_t>(t)];
-    MGRTS_ASSERT(static_cast<std::int32_t>(tasks.size()) <= m);
-    std::sort(tasks.begin(), tasks.end());
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      schedule.set(t, static_cast<ProcId>(j), tasks[j]);
+  std::vector<ProcId> busy(static_cast<std::size_t>(T), 0);
+  Index job = 1;
+  for (TaskId i = 0; i < ts.size(); ++i) {
+    const Time count = ts.jobs_per_hyperperiod(i);
+    for (Time k = 0; k < count; ++k, ++job) {
+      for (Index a = net.begin(job) + 1; a < net.end(job); ++a) {
+        if (net.cap[ix(a)] != 0) continue;
+        const Index s = net.to[ix(a)] - net.first_slot;
+        MGRTS_ASSERT(busy[ix(s)] < m);
+        schedule.set(s, busy[ix(s)]++, i);
+      }
     }
   }
   result.schedule = std::move(schedule);

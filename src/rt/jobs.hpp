@@ -9,9 +9,12 @@
 //
 // `WindowIndex` answers membership queries in O(1) arithmetic without
 // materializing anything, so the CSP2 solver can handle hyperperiods in the
-// 10^5..10^6 range.  `JobTable` materializes explicit per-job slot lists for
-// the flow oracle, validator, and CSP encodings (small instances); it guards
-// against accidental memory blow-ups with an explicit budget.
+// 10^5..10^6 range; the schedule validator uses it too.  `JobTable`
+// materializes explicit per-job slot lists for the CSP encodings, local
+// search and schedule statistics (small instances); it guards against
+// accidental memory blow-ups with an explicit budget.  The flow oracle
+// builds its network straight from the same window arithmetic and does not
+// use a `JobTable`; it only shares the budget (flow/oracle.hpp).
 #pragma once
 
 #include <cstdint>

@@ -36,8 +36,9 @@
 namespace mgrts::support {
 
 enum class FaultSite : int {
-  kFlowNetwork = 0,  ///< flow oracle network-size guard (flow/oracle.cpp)
-  kJobTable,         ///< job window materialization (rt/jobs.cpp)
+  kFlowNetwork = 0,  ///< flow oracle network allocation (flow/oracle.cpp)
+  kJobTable,         ///< job window materialization (rt/jobs.cpp) and the
+                     ///< flow oracle's window guard (flow/oracle.cpp)
   kScheduleTable,    ///< schedule table allocation (rt/schedule.cpp)
   kCspVarBudget,     ///< CSP variable budget (csp/solver.cpp)
   kDeadline,         ///< forced deadline expiry mid-propagation

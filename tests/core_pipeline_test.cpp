@@ -106,22 +106,33 @@ TEST(Pipeline, Csp2PresolveStageProvesInfeasibilityWhenEnabledAlone) {
 }
 
 TEST(Pipeline, FlowMemoryGuardFallsBackToTheDeferredDensityProof) {
-  // Two coprime ~1e4 periods: the hyperperiod is ~1e8, so the flow
-  // oracle's job table blows its slot budget.  The analysis stage deferred
-  // its density proof to the oracle (necessary-only mode); the oracle must
-  // recover it instead of dropping a provable instance into search.
-  const TaskSet ts =
-      TaskSet::from_params({{0, 1, 9973, 9973}, {0, 1, 9967, 9967}});
+  // The flow oracle's size guard trips on both inputs.  The analysis stage
+  // deferred its density proof to the oracle (necessary-only mode); the
+  // oracle must recover it instead of dropping a provable instance into
+  // search.
+  struct Case {
+    TaskSet tasks;
+    std::int32_t processors;
+  };
+  const Case cases[] = {
+      // Two coprime ~1e4 periods: T ~1e8 and ~2e8 window slots.
+      {TaskSet::from_params({{0, 1, 9973, 9973}, {0, 1, 9967, 9967}}), 1},
+      // T = 899,999,879 although the windows hold only 60,000 slots:
+      // the hyperperiod alone is over budget.
+      {TaskSet::from_params({{0, 1, 1, 30011}, {0, 1, 1, 29989}}), 2},
+  };
   SolveConfig config;
   config.method = Method::kCsp2Dedicated;
   config.max_nodes = 1;  // if search ran anyway, the verdict would differ
-  const SolveReport report =
-      solve_instance(ts, Platform::identical(1), config);
-  EXPECT_EQ(report.verdict, Verdict::kFeasible);
-  EXPECT_EQ(report.decided_by, "analysis:density");
-  EXPECT_FALSE(report.schedule.has_value());
-  EXPECT_NE(report.detail.find("flow oracle skipped"), std::string::npos)
-      << report.detail;
+  for (const Case& c : cases) {
+    const SolveReport report = solve_instance(
+        c.tasks, Platform::identical(c.processors), config);
+    EXPECT_EQ(report.verdict, Verdict::kFeasible);
+    EXPECT_EQ(report.decided_by, "analysis:density");
+    EXPECT_FALSE(report.schedule.has_value());
+    EXPECT_NE(report.detail.find("flow oracle skipped"), std::string::npos)
+        << report.detail;
+  }
 }
 
 TEST(Pipeline, StagesAreGatedOffHeterogeneousPlatforms) {

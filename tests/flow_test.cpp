@@ -2,20 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include "flow/dinic.hpp"
+#include "analysis/tests.hpp"
+#include "flow_reference.hpp"
 #include "gen/generator.hpp"
 #include "rt/validate.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "testing.hpp"
 
 namespace mgrts::flow {
 namespace {
 
 using mgrts::testing::example1;
+using reference::Dinic;
 using rt::Platform;
 using rt::TaskSet;
 
-// ------------------------------------------------------------------ Dinic
+// ------------------------------------------------------- reference Dinic
 
 TEST(Dinic, SingleEdge) {
   Dinic net(2);
@@ -64,6 +67,26 @@ TEST(Dinic, ZeroCapacityEdge) {
 }
 
 // ----------------------------------------------------------------- oracle
+
+/// First slot whose processors do not hold ascending task ids followed
+/// only by idles, or -1 when the whole schedule is canonical.
+rt::Time first_non_canonical_slot(const rt::Schedule& s) {
+  for (rt::Time t = 0; t < s.hyperperiod(); ++t) {
+    rt::TaskId prev = -1;
+    bool seen_idle = false;
+    for (rt::ProcId j = 0; j < s.processors(); ++j) {
+      const rt::TaskId v = s.at(t, j);
+      if (v == rt::kIdle) {
+        seen_idle = true;
+      } else if (seen_idle || v <= prev) {
+        return t;
+      } else {
+        prev = v;
+      }
+    }
+  }
+  return -1;
+}
 
 TEST(Oracle, Example1IsFeasibleWithValidWitness) {
   const TaskSet ts = example1();
@@ -123,22 +146,7 @@ TEST(Oracle, WitnessIsCanonicalAscending) {
   const OracleResult result =
       decide_feasibility(example1(), Platform::identical(2));
   ASSERT_TRUE(result.schedule.has_value());
-  const rt::Schedule& s = *result.schedule;
-  for (rt::Time t = 0; t < s.hyperperiod(); ++t) {
-    // Non-idle entries ascend and idles trail.
-    rt::TaskId prev = -1;
-    bool seen_idle = false;
-    for (rt::ProcId j = 0; j < s.processors(); ++j) {
-      const rt::TaskId v = s.at(t, j);
-      if (v == rt::kIdle) {
-        seen_idle = true;
-        continue;
-      }
-      EXPECT_FALSE(seen_idle) << "task after idle at t=" << t;
-      EXPECT_GT(v, prev) << "non-ascending at t=" << t;
-      prev = v;
-    }
-  }
+  EXPECT_EQ(first_non_canonical_slot(*result.schedule), -1);
 }
 
 TEST(Oracle, RejectsHeterogeneousPlatform) {
@@ -204,6 +212,93 @@ TEST(Oracle, CapacityFilterAgreesWithVerdictDirection) {
           << "instance " << k;
     }
   }
+}
+
+// ----------------------------------------------------- differential
+
+TEST(OracleDifferential, MatchesTheReferenceOnGeneratedFamilies) {
+  // Every instance: the reference's verdict, flow and demand (the max-flow
+  // value is unique), and a witness that validates and is canonical.
+  int checked = 0;
+  int feasible = 0;
+  auto check = [&](const TaskSet& ts, std::int32_t m, const char* family,
+                   std::uint64_t index) {
+    const Platform p = Platform::identical(m);
+    const OracleResult got = decide_feasibility(ts, p);
+    const OracleResult want = reference::decide_feasibility(ts, p);
+    ++checked;
+    SCOPED_TRACE(::testing::Message() << family << " #" << index);
+    ASSERT_EQ(got.verdict, want.verdict);
+    ASSERT_EQ(got.flow, want.flow);
+    ASSERT_EQ(got.demand, want.demand);
+    ASSERT_EQ(got.schedule.has_value(),
+              got.verdict == OracleVerdict::kFeasible);
+    if (!got.schedule) return;
+    ++feasible;
+    const rt::ValidationReport report =
+        rt::validate_schedule(ts, p, *got.schedule);
+    ASSERT_TRUE(report.ok()) << report.to_string();
+    ASSERT_EQ(first_non_canonical_slot(*got.schedule), -1);
+  };
+
+  // The Table-I stream's flow-bound instances: those the analysis tests
+  // leave to the oracle.
+  gen::GeneratorOptions table1;
+  int flow_bound = 0;
+  for (std::uint64_t k = 0; flow_bound < 700; ++k) {
+    const auto inst = gen::generate_indexed(table1, 1, k);
+    if (analysis::quick_decide(inst.tasks, inst.processors).verdict ==
+        analysis::TestVerdict::kInfeasible) {
+      continue;
+    }
+    ++flow_bound;
+    check(inst.tasks, inst.processors, "table-I", k);
+  }
+  // A few of its t_max 12 instances.
+  table1.t_max = 12;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    const auto inst = gen::generate_indexed(table1, 1, k);
+    check(inst.tasks, inst.processors, "table-I t_max 12", k);
+  }
+  // Offsets on two and three processors.
+  gen::GeneratorOptions offsets;
+  offsets.tasks = 5;
+  offsets.t_max = 6;
+  offsets.with_offsets = true;
+  for (std::uint64_t k = 0; k < 800; ++k) {
+    offsets.processors = 2 + static_cast<std::int32_t>(k % 2);
+    const auto inst = gen::generate_indexed(offsets, 7, k);
+    check(inst.tasks, inst.processors, "offsets", k);
+  }
+  // m from 1 to n.
+  gen::GeneratorOptions sweep;
+  sweep.tasks = 6;
+  sweep.t_max = 6;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    sweep.processors = 1 + static_cast<std::int32_t>(k % 6);
+    sweep.with_offsets = k % 4 == 0;
+    const auto inst = gen::generate_indexed(sweep, 11, k);
+    check(inst.tasks, inst.processors, "m sweep", k);
+  }
+  // Arbitrary deadlines (D up to 2T), clone-expanded.
+  support::Rng rng(20090911);
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    std::vector<rt::TaskParams> params;
+    const auto n = rng.uniform(2, 4);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const rt::Time period = rng.uniform(2, 5);
+      const rt::Time wcet = rng.uniform(1, period);
+      params.push_back({rng.uniform(0, period - 1), wcet,
+                        rng.uniform(wcet, 2 * period), period});
+    }
+    const TaskSet clones =
+        TaskSet::from_params(params, rt::DeadlineModel::kArbitrary)
+            .to_constrained();
+    check(clones, static_cast<std::int32_t>(rng.uniform(1, 3)), "clones", k);
+  }
+
+  EXPECT_GE(checked, 2000);
+  EXPECT_GT(feasible, checked / 4);
 }
 
 }  // namespace
