@@ -116,6 +116,14 @@ class NogoodStore final : public Propagator {
 
   // ---- solver hooks ---------------------------------------------------
 
+  /// on_event's aggregate pre-test, inline for the solver's direct
+  /// delivery: false proves that an event removing `removed` from `var`
+  /// can make no watch entailed, so on_event would return false.
+  [[nodiscard]] bool may_wake(VarId var,
+                              std::uint64_t removed) const noexcept {
+    return (removed & agg_miss_[static_cast<std::size_t>(var)]) != 0;
+  }
+
   /// Records one learned nogood.  `lits` is ordered by depth, shallowest
   /// first, with the conflict-level literal (the failed assignment, or the
   /// 1-UIP) last; the caller invokes this right after backtracking the

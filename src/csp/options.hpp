@@ -20,15 +20,15 @@ enum class VarHeuristic {
 };
 
 /// How the kMinDomain/kDomWdeg winner is located.  kScan is the O(unfixed)
-/// reference loop; kHeap is a lazy binary heap over the unfixed set updated
-/// from the same kFixed/kPruned events the propagators receive (O(log n)
-/// select, O(1) amortized update).  Both modes pick the same variable under
-/// deterministic tie-breaking, so they explore bit-identical trees (the
-/// differential test in csp_engine_test pins this); under random_var_ties
-/// the tie set is identical but the draw stream differs, so trees may
-/// diverge between modes (each stays seed-deterministic).
+/// reference loop; kHeap is a position-indexed binary heap with one node
+/// per variable, whose stored keys absorb the key improvements (narrowings,
+/// wdeg bumps, re-entries into the unfixed set) at the next selection
+/// (DESIGN.md §7).  Both modes pick the same variable under deterministic
+/// tie-breaking, and under random_var_ties both draw once from the same
+/// tie set sorted by id, so they explore bit-identical trees either way
+/// (the differential tests in csp_engine_test pin this).
 enum class SelectionMode {
-  kHeap,  ///< lazy bucket-heap (the fast path)
+  kHeap,  ///< indexed binary heap (the fast path)
   kScan,  ///< full scan of the unfixed set (reference)
 };
 
@@ -139,11 +139,12 @@ struct SearchOptions {
   /// build is a pure observer (bit-identical trees with it on or off).
   bool force_reason_trail = false;
 
-  /// Per-propagator wall-time profiling (SolveStats::propagators.seconds).
-  /// The wake/run/prune counters are always on (plain array increments);
-  /// the clock reads around every propagator run are not, so they hide
-  /// behind this flag.  Off by default — profiling must not tax the
-  /// throughput ledger.
+  /// Wall-time profiling: per propagator (SolveStats::propagators.seconds)
+  /// and per search phase (SolveStats::phases).  The wake/run/prune
+  /// counters are always on (plain array increments); the clock reads
+  /// around every propagator run and at every phase switch are not, so
+  /// they hide behind this flag.  Off by default — profiling must not tax
+  /// the throughput ledger.
   bool prop_profile = false;
 };
 
@@ -170,6 +171,29 @@ struct PropagatorProfile {
   std::int64_t runs = 0;
   std::int64_t prunes = 0;
   double seconds = 0.0;
+};
+
+/// Wall time per phase of the search loop, filled only under
+/// SearchOptions::prop_profile (all zero otherwise).  Every interval of the
+/// loop is charged to exactly one phase, so the phases never sum past
+/// SolveStats::seconds; the remainder is model freezing, root propagation
+/// and result assembly.
+struct SearchPhases {
+  double select = 0.0;     ///< variable and value selection
+  double propagate = 0.0;  ///< a decision's fix and its propagation
+  /// Conflict analysis: wdeg bumps, the 1-UIP or decision-set walk and
+  /// the clause build, minimization excluded.
+  double analyze = 0.0;
+  double minimize = 0.0;  ///< recursive self-subsumption of the frontier
+  /// Unwinding after a conflict, clause recording, and the backjump
+  /// assertion loop (its re-propagation included, its analyses not).
+  double backjump = 0.0;
+  /// Restart rewinds and nogood-database maintenance.
+  double restart = 0.0;
+
+  [[nodiscard]] double total() const noexcept {
+    return select + propagate + analyze + minimize + backjump + restart;
+  }
 };
 
 struct SolveStats {
@@ -206,6 +230,7 @@ struct SolveStats {
   /// Per-propagator-class wake/run/prune rows (seconds only when
   /// SearchOptions::prop_profile is set), sorted by name.
   std::vector<PropagatorProfile> propagators;
+  SearchPhases phases;  ///< only under SearchOptions::prop_profile
   double seconds = 0.0;
 };
 

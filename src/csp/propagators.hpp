@@ -44,9 +44,24 @@
 // Neither discipline inspects the backtrack distance.  The multi-level-
 // unwind pins in csp_engine_test (incremental == scratch across jumps) and
 // csp_uip_test (jump vs chronological verdicts) lock that invariant down.
+//
+// Watched-value contract (Propagator::watched_value, DESIGN.md §2).  The
+// two counters declare the value they count.  Once its first run has
+// primed lb_/ub_, a counter's advisor can only move a bound — and so only
+// return true — on an event that removed the value from the variable
+// (ub drops) or fixed the variable to it (lb rises); on any other event it
+// returns false with no side effect.  The solver therefore skips the call
+// on every other event, which leaves each wake and the enqueue order
+// unchanged.  Before the first run the advisor returns true on every event
+// and hears all of them, and PropagationMode::kScratch delivers every
+// event unfiltered, so the incremental-vs-scratch differentials compare
+// filtered against unfiltered delivery.  A propagator whose advisor reacts
+// to more than one value, or keeps pending state on any change, must not
+// declare a watched value.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "csp/solver.hpp"
@@ -96,6 +111,9 @@ class CountEq final : public Propagator {
   }
   bool on_event(Solver& solver, std::int32_t pos,
                 std::uint64_t old_mask) override;
+  [[nodiscard]] std::optional<Value> watched_value() const override {
+    return value_;
+  }
   [[nodiscard]] const std::vector<VarId>& scope() const override {
     return vars_;
   }
@@ -122,6 +140,9 @@ class WeightedCountEq final : public Propagator {
   }
   bool on_event(Solver& solver, std::int32_t pos,
                 std::uint64_t old_mask) override;
+  [[nodiscard]] std::optional<Value> watched_value() const override {
+    return value_;
+  }
   [[nodiscard]] const std::vector<VarId>& scope() const override {
     return vars_;
   }

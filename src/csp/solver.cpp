@@ -103,6 +103,9 @@ void Solver::trail_push(VarId v, std::uint64_t old_mask) {
     auto& head = last_entry_[static_cast<std::size_t>(v)];
     prev = head;
     head = static_cast<std::int32_t>(trail_.size());
+    if (active_reason_ == kReasonDecision) {
+      decisions_.push_back(static_cast<std::int32_t>(trail_.size()));
+    }
   }
   // Prune attribution: every trailed change inside a propagator run counts
   // toward that propagator's profile row (decisions and root maintenance
@@ -128,7 +131,9 @@ void Solver::end_explicit_reason() {
 }
 
 void Solver::sync_membership(VarId v) {
-  const bool want = domains_[static_cast<std::size_t>(v)].size() > 1;
+  // Unfixed means two or more values: a bit besides the lowest one.
+  const std::uint64_t m = domains_[static_cast<std::size_t>(v)].raw_mask();
+  const bool want = (m & (m - 1)) != 0;
   auto& pos = unfixed_pos_[static_cast<std::size_t>(v)];
   const bool have = pos >= 0;
   if (want == have) return;
@@ -141,7 +146,7 @@ void Solver::sync_membership(VarId v) {
     }
     pos = static_cast<std::int32_t>(unfixed_size_);
     ++unfixed_size_;
-    if (heap_active_) heap_push(v);
+    if (heap_active_) heap_touch(v);
   } else {
     // Swap-remove.
     const auto last_idx = static_cast<std::size_t>(unfixed_size_ - 1);
@@ -160,8 +165,8 @@ void Solver::enqueue(Propagator& p) {
   queue_[p.priority_cache_].push_back(p.id_);
 }
 
-void Solver::wake_list(const WatchList& list, VarId v,
-                       std::uint64_t old_mask) {
+void Solver::wake_list(const WatchList& list, VarId v, std::uint64_t old_mask,
+                       std::uint64_t hit) {
   const auto begin =
       static_cast<std::size_t>(list.offset[static_cast<std::size_t>(v)]);
   const auto end =
@@ -169,6 +174,10 @@ void Solver::wake_list(const WatchList& list, VarId v,
   stats_.events += static_cast<std::int64_t>(end - begin);
   for (std::size_t k = begin; k < end; ++k) {
     const Watch w = list.data[k];
+    // Watched-value contract: an event that neither removed the value nor
+    // fixed the variable to it cannot move this advisor, so skipping the
+    // call keeps every wake (and the enqueue order) unchanged.
+    if ((hit & watch_mask_[static_cast<std::size_t>(w.pid)]) == 0) continue;
     Propagator& p = *propagators_[static_cast<std::size_t>(w.pid)];
     if (p.on_event(*this, w.pos, old_mask)) {
       ++prop_wakes_[static_cast<std::size_t>(w.pid)];
@@ -177,11 +186,35 @@ void Solver::wake_list(const WatchList& list, VarId v,
   }
 }
 
+std::uint64_t Solver::watched_bit(const std::vector<VarId>& scope,
+                                  Value value) const {
+  // One mask serves the whole scope when its variables share a domain base
+  // (every encoding here builds them so); otherwise the propagator simply
+  // hears every event.
+  if (scope.empty()) return ~std::uint64_t{0};
+  const Value base = domains_[static_cast<std::size_t>(scope.front())].base();
+  for (const VarId v : scope) {
+    if (domains_[static_cast<std::size_t>(v)].base() != base) {
+      return ~std::uint64_t{0};
+    }
+  }
+  // A value outside the window is never removed nor fixed to.
+  const std::int64_t off = std::int64_t{value} - base;
+  if (off < 0 || off >= Domain64::kMaxSpan) return 0;
+  return std::uint64_t{1} << off;
+}
+
 void Solver::notify_store(VarId v, std::uint64_t old_mask) {
   // Event-count parity with the CSR path the store was removed from: its
   // one watch entry per variable counted one event per delivery.
   ++stats_.events;
   NogoodStore& store = *nogood_store_;  // final: on_event devirtualizes
+  // Most events touch values no clause watches: the store's own pre-test,
+  // inlined, spares the call.
+  if (!store.may_wake(
+          v, old_mask & ~domains_[static_cast<std::size_t>(v)].raw_mask())) {
+    return;
+  }
   if (store.on_event(*this, v, old_mask)) {
     Propagator& p = store;
     ++prop_wakes_[static_cast<std::size_t>(p.id_)];
@@ -194,10 +227,16 @@ void Solver::notify_watchers(VarId v, std::uint64_t old_mask,
   // The direct store calls sit exactly where the CSR walks would have
   // reached the store's (added-last) entries, so the enqueue order — and
   // with it the propagation order and the search tree — is unchanged.
-  wake_list(any_watch_, v, old_mask);
+  // A fix concerns every value the domain held (the removed ones and the
+  // one that remains); a prune only the removed ones.
+  const std::uint64_t hit =
+      became_fixed
+          ? old_mask
+          : old_mask & ~domains_[static_cast<std::size_t>(v)].raw_mask();
+  wake_list(any_watch_, v, old_mask, hit);
   if (store_direct_any_) notify_store(v, old_mask);
   if (became_fixed) {
-    wake_list(fixed_watch_, v, old_mask);
+    wake_list(fixed_watch_, v, old_mask, hit);
     if (store_direct_fixed_) notify_store(v, old_mask);
   }
 }
@@ -210,11 +249,12 @@ PropResult Solver::remove(VarId v, Value a) {
   d.remove(a);
   sync_membership(v);
   if (d.empty()) return PropResult::kFail;
+  const bool fixed = d.is_fixed();
   // A narrowing that leaves the variable unfixed improves its selection
-  // key, so the heap needs a fresh entry (fixes leave the unfixed set and
-  // need none; re-growth on backtrack only goes stale).
-  if (heap_active_ && d.size() > 1) heap_push(v);
-  notify_watchers(v, old_mask, d.is_fixed());
+  // key (fixes leave the unfixed set; re-growth on backtrack waits for the
+  // heap root).
+  if (heap_active_ && !fixed) heap_touch(v);
+  notify_watchers(v, old_mask, fixed);
   return PropResult::kOk;
 }
 
@@ -248,9 +288,19 @@ void Solver::backtrack_to(const Mark& mark) {
     domains_[static_cast<std::size_t>(entry.var)].set_raw_mask(entry.old_mask);
     if (track_reasons_) {
       last_entry_[static_cast<std::size_t>(entry.var)] = entry.prev_on_var;
+      if (entry.reason == kReasonDecision) decisions_.pop_back();
     }
     sync_membership(entry.var);
   }
+}
+
+void Solver::switch_phase(Phase next) {
+  const auto now = std::chrono::steady_clock::now();
+  phase_ns_[static_cast<std::size_t>(phase_)] +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now - phase_t0_)
+          .count();
+  phase_t0_ = now;
+  phase_ = next;
 }
 
 void Solver::clear_queue() {
@@ -274,7 +324,7 @@ void Solver::bump_failure(std::int32_t prop_id) {
     // The bump improves dom/wdeg keys; refresh unfixed scope variables.
     if (heap_active_ && heap_use_wdeg_ &&
         unfixed_pos_[static_cast<std::size_t>(v)] >= 0) {
-      heap_push(v);
+      heap_touch(v);
     }
   }
 }
@@ -375,21 +425,47 @@ bool Solver::analyze_conflict(std::size_t root_trail) {
 
 // ---- 1-UIP resolution walk (DESIGN.md §11) -----------------------------
 
+template <typename MarkFn>
+bool Solver::expand_walk_reason(const TrailEntry& e, MarkFn&& mark) {
+  if (e.reason >= 0) {
+    // A propagator's scope marked once in this walk stays marked, so its
+    // next expansion (the propagator typically pruned several entries)
+    // would mark nothing.
+    auto& seen = expanded_stamp_[static_cast<std::size_t>(e.reason)];
+    if (seen == relevant_epoch_) return true;
+    seen = relevant_epoch_;
+  }
+  return expand_reason(e, mark);
+}
+
 void Solver::uip_mark(VarId v, std::int64_t& pending) {
   auto& stamp = relevant_stamp_[static_cast<std::size_t>(v)];
   if (stamp == relevant_epoch_) return;
   stamp = relevant_epoch_;
+  uip_marked_.push_back(v);
   pending += uip_count_[static_cast<std::size_t>(v)];
+}
+
+std::uint64_t Solver::post_mask(std::size_t idx) const {
+  // The newer entries on the variable each recorded the mask they found,
+  // so the one just above idx holds idx's post-change domain.
+  const auto var = static_cast<std::size_t>(trail_[idx].var);
+  std::uint64_t post = domains_[var].raw_mask();
+  for (std::int32_t j = last_entry_[var]; static_cast<std::size_t>(j) > idx;
+       j = trail_[static_cast<std::size_t>(j)].prev_on_var) {
+    post = trail_[static_cast<std::size_t>(j)].old_mask;
+  }
+  return post;
 }
 
 Lit Solver::entry_literal(const TrailEntry& e, std::uint64_t post_mask) const {
   const Value base = domains_[static_cast<std::size_t>(e.var)].base();
   const std::uint64_t removed = e.old_mask & ~post_mask;
   MGRTS_ASSERT(removed != 0);
-  if (std::popcount(removed) > 1) {
+  if ((removed & (removed - 1)) != 0) {
     // A fix pruned several values at once: the entry's literal is the
     // assignment itself (post state must be a singleton).
-    MGRTS_ASSERT(std::popcount(post_mask) == 1);
+    MGRTS_ASSERT(Domain64::mask_fixed(post_mask));
     return Lit::eq(e.var, base + std::countr_zero(post_mask));
   }
   // Single-value removal: (var != a), strengthened to the *equivalent*
@@ -427,18 +503,19 @@ bool Solver::reason_covered(std::size_t idx, std::size_t root_trail,
     // reason must be covered recursively.  Antecedent indices strictly
     // decrease, so the walk is acyclic and the memo grounds out.
     auto check = [&](VarId u) {
-      if (!ok) return;
+      // A marked variable's every entry is covered (its literals are in the
+      // frontier clause), so only unmarked chains need walking.
+      if (!ok ||
+          relevant_stamp_[static_cast<std::size_t>(u)] == relevant_epoch_) {
+        return;
+      }
       std::int32_t j = last_entry_[static_cast<std::size_t>(u)];
       while (j >= 0 && static_cast<std::size_t>(j) >= idx) {
         j = trail_[static_cast<std::size_t>(j)].prev_on_var;
       }
       while (ok && j >= 0 && static_cast<std::size_t>(j) >= root_trail) {
         const auto ju = static_cast<std::size_t>(j);
-        if (relevant_stamp_[static_cast<std::size_t>(trail_[ju].var)] !=
-                relevant_epoch_ &&
-            !reason_covered(ju, root_trail, depth + 1)) {
-          ok = false;
-        }
+        if (!reason_covered(ju, root_trail, depth + 1)) ok = false;
         j = trail_[ju].prev_on_var;
       }
     };
@@ -473,12 +550,20 @@ std::int64_t Solver::minimize_frontier(std::size_t root_trail) {
   // is a conjunction, so a literal implied by a kept stronger literal
   // forbids nothing extra (a moving-bound chain >=3, >=4, >=5 collapses to
   // >=5).  Literals are pairwise distinct, so implication is a strict
-  // order and the maximal elements survive.
+  // order and the maximal elements survive.  Only literals on one variable
+  // imply each other, and most variables carry one frontier literal, so
+  // literals are counted per variable first (uip_count_ is all zero outside
+  // the conflict-level walk) and only shared variables are compared.
+  for (const FrontierLit& f : frontier_) {
+    ++uip_count_[static_cast<std::size_t>(f.lit.var)];
+  }
   out = 0;
   for (std::size_t i = 0; i < frontier_.size(); ++i) {
     bool redundant = false;
-    for (std::size_t j = 0; j < frontier_.size() && !redundant; ++j) {
-      redundant = j != i && implies(frontier_[j].lit, frontier_[i].lit);
+    if (uip_count_[static_cast<std::size_t>(frontier_[i].lit.var)] > 1) {
+      for (std::size_t j = 0; j < frontier_.size() && !redundant; ++j) {
+        redundant = j != i && implies(frontier_[j].lit, frontier_[i].lit);
+      }
     }
     if (redundant) {
       ++removed;
@@ -487,7 +572,31 @@ std::int64_t Solver::minimize_frontier(std::size_t root_trail) {
     frontier_[out++] = frontier_[i];
   }
   frontier_.resize(out);
+  // Every variable keeps at least one (maximal) literal, so the survivors
+  // reach every counted variable.
+  for (const FrontierLit& f : frontier_) {
+    uip_count_[static_cast<std::size_t>(f.lit.var)] = 0;
+  }
   return removed;
+}
+
+std::size_t Solver::flag_entries(VarId v, std::size_t root_trail,
+                                 std::size_t below) {
+  std::size_t flagged = 0;
+  std::uint64_t post = domains_[static_cast<std::size_t>(v)].raw_mask();
+  for (std::int32_t j = last_entry_[static_cast<std::size_t>(v)];
+       j >= 0 && static_cast<std::size_t>(j) >= root_trail;
+       j = trail_[static_cast<std::size_t>(j)].prev_on_var) {
+    const auto at = static_cast<std::size_t>(j) - root_trail;
+    if (static_cast<std::size_t>(j) < below) {
+      flag_bits_[at / 64] |= std::uint64_t{1} << (at % 64);
+      flag_post_[at] = post;
+      flag_lo_ = std::min(flag_lo_, at / 64);
+      ++flagged;
+    }
+    post = trail_[static_cast<std::size_t>(j)].old_mask;
+  }
+  return flagged;
 }
 
 bool Solver::analyze_uip(std::size_t root_trail, std::size_t level_start,
@@ -501,6 +610,7 @@ bool Solver::analyze_uip(std::size_t root_trail, std::size_t level_start,
     ++uip_count_[static_cast<std::size_t>(trail_[k].var)];
   }
   ++relevant_epoch_;  // fresh epoch: stamps double as the walk's marks
+  uip_marked_.clear();
 
   std::int64_t pending = 0;
   auto mark = [&](VarId v) { uip_mark(v, pending); };
@@ -512,9 +622,7 @@ bool Solver::analyze_uip(std::size_t root_trail, std::size_t level_start,
   // Phase A — the conflict level, newest first.  Every visited relevant
   // entry is a resolvent literal: expand it unless it is the *only* one
   // left at this level (pending == 0 after its own visit), which makes it
-  // the first unique implication point.  The walk reconstructs each
-  // entry's post-change domain through an epoch-stamped mask overlay so
-  // the UIP literal can be derived without storing masks forward.
+  // the first unique implication point.
   bool have_uip = false;
   bool ok = true;
   Lit uip{};
@@ -524,21 +632,16 @@ bool Solver::analyze_uip(std::size_t root_trail, std::size_t level_start,
     --k;
     const TrailEntry& e = trail_[k];
     const auto var = static_cast<std::size_t>(e.var);
-    const std::uint64_t post = walk_stamp_[var] == relevant_epoch_
-                                   ? walk_mask_[var]
-                                   : domains_[var].raw_mask();
-    walk_mask_[var] = e.old_mask;
-    walk_stamp_[var] = relevant_epoch_;
     --uip_count_[var];
     if (relevant_stamp_[var] != relevant_epoch_) continue;
     --pending;
     if (pending == 0) {
-      uip = entry_literal(e, post);
+      uip = entry_literal(e, post_mask(k));
       uip_depth = e.depth;
       have_uip = true;
       break;
     }
-    if (!expand_reason(e, mark)) {
+    if (!expand_walk_reason(e, mark)) {
       ok = false;
       break;
     }
@@ -550,76 +653,137 @@ bool Solver::analyze_uip(std::size_t root_trail, std::size_t level_start,
   }
   if (!have_uip || !ok) return false;
 
+  // Below the UIP the walks only ever visit entries on relevant variables,
+  // so instead of scanning the trail they drain a bitmap over trail
+  // positions [root_trail, k), filled from the relevant variables' trail
+  // chains.  It starts with every entry on a Phase-A-marked variable.
+  const std::size_t span = k - root_trail;
+  const std::size_t top_word = span / 64;  // flags live in words <= top_word
+  if (flag_bits_.size() <= top_word) flag_bits_.resize(top_word + 1, 0);
+  if (flag_post_.size() < span) flag_post_.resize(span);
+  flag_lo_ = top_word;
+  std::size_t flagged = 0;
+  for (const VarId v : uip_marked_) flagged += flag_entries(v, root_trail, k);
+  auto clear_flags = [&](std::size_t hi_word) {
+    for (std::size_t w = flag_lo_; w <= hi_word; ++w) flag_bits_[w] = 0;
+  };
+
   // Frontier form (DESIGN.md §15): before the decision-form expansion
-  // mutates the mark set, collect the literal of every remaining entry on
-  // a Phase-A-relevant variable — the conjunction of those entries plus the
-  // root domain is exactly the marked variables' state below the conflict
-  // level, so (frontier ∧ UIP) is a sound nogood on its own.  The walk
-  // keeps threading the post-change mask overlay Phase A started, which is
-  // what entry_literal needs to recognize fixes.  Oversized frontiers are
+  // mutates the mark set, take the literal of every flagged entry — the
+  // conjunction of those entries plus the root domain is exactly the marked
+  // variables' state below the UIP, so (frontier ∧ UIP) is a sound nogood
+  // on its own.  Flags come out in trail order, and each carries the
+  // post-change mask its chain walk saw.  Oversized frontiers are
   // abandoned (the decision form will win anyway).
   std::int64_t minimized = 0;
-  bool have_frontier = false;
-  if (minimize) {
+  const bool have_frontier = minimize && flagged <= kMaxFrontier;
+  if (have_frontier) {
     frontier_.clear();
-    have_frontier = true;
-    std::size_t j = k;
-    while (j > root_trail) {
-      --j;
-      const TrailEntry& e = trail_[j];
-      const auto var = static_cast<std::size_t>(e.var);
-      const std::uint64_t post = walk_stamp_[var] == relevant_epoch_
-                                     ? walk_mask_[var]
-                                     : domains_[var].raw_mask();
-      walk_mask_[var] = e.old_mask;
-      walk_stamp_[var] = relevant_epoch_;
-      if (relevant_stamp_[var] != relevant_epoch_) continue;
-      if (frontier_.size() >= kMaxFrontier) {
-        have_frontier = false;
-        break;
+    for (std::size_t w = flag_lo_; w <= top_word; ++w) {
+      for (std::uint64_t bits = flag_bits_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t at =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const TrailEntry& e = trail_[root_trail + at];
+        frontier_.push_back(
+            FrontierLit{entry_literal(e, flag_post_[at]), e.depth,
+                        static_cast<std::int32_t>(root_trail + at)});
       }
-      frontier_.push_back(FrontierLit{entry_literal(e, post), e.depth,
-                                      static_cast<std::int32_t>(j)});
     }
-    if (have_frontier) {
-      std::reverse(frontier_.begin(), frontier_.end());  // trail order
-      minimized = minimize_frontier(root_trail);
-      // A frontier literal the UIP already implies is dead weight too.
-      std::size_t out = 0;
-      for (const FrontierLit& f : frontier_) {
-        if (implies(uip, f.lit)) {
-          ++minimized;
-          continue;
-        }
-        frontier_[out++] = f;
+    enter_phase(Phase::kMinimize);
+    minimized = minimize_frontier(root_trail);
+    // A frontier literal the UIP already implies is dead weight too.
+    std::size_t out = 0;
+    for (const FrontierLit& f : frontier_) {
+      if (implies(uip, f.lit)) {
+        ++minimized;
+        continue;
       }
-      frontier_.resize(out);
+      frontier_[out++] = f;
     }
+    frontier_.resize(out);
+    enter_phase(Phase::kAnalyze);
   }
 
-  // Phase B — below the conflict level: keep relevant decisions as the
+  // Phase B — below the UIP, newest first: keep relevant decisions as the
   // clause frontier, expand everything else (kept decisions reproduce all
-  // relevant lower state, same induction as the decision-set walk).
+  // relevant lower state, same induction as the decision-set walk).  A
+  // variable marked here flags its entries below the entry being expanded,
+  // and the walk visits flagged entries only.  Three things end it early
+  // without changing the clause:
+  //   * no flag is left;
+  //   * every decision still below is relevant: the rest of the walk could
+  //     only collect exactly those, so they come off the decision stack;
+  //   * the decision form is longer than the frontier: the decision form
+  //     only grows, and the frontier form is kept only when strictly
+  //     shorter.
+  // Above the root no entry is untracked, so stopping early skips no
+  // fallback.
+  auto relevant = [&](VarId v) {
+    return relevant_stamp_[static_cast<std::size_t>(v)] == relevant_epoch_;
+  };
+  std::size_t below = decisions_.size();  // decisions_[0, below): not passed
+  while (below > 0 && static_cast<std::size_t>(decisions_[below - 1]) >= k) {
+    --below;
+  }
+  std::size_t unstamped = 0;  // ... of which on irrelevant variables
+  for (std::size_t i = 0; i < below; ++i) {
+    if (!relevant(trail_[static_cast<std::size_t>(decisions_[i])].var)) {
+      ++unstamped;
+    }
+  }
+  std::size_t pos = k;  // the entry being expanded
+  auto mark_below = [&](VarId v) {
+    auto& st = relevant_stamp_[static_cast<std::size_t>(v)];
+    if (st == relevant_epoch_) return;
+    st = relevant_epoch_;
+    flag_entries(v, root_trail, pos);
+    // A decided variable's newest entry is its decision (a fixed domain
+    // changes no further).
+    const std::int32_t last = last_entry_[static_cast<std::size_t>(v)];
+    if (last >= 0 && static_cast<std::size_t>(last) < pos &&
+        trail_[static_cast<std::size_t>(last)].reason == kReasonDecision) {
+      --unstamped;
+    }
+  };
+  auto keep = [&](const TrailEntry& e) {  // true: the frontier form wins
+    uip_lits_.push_back(
+        Lit::eq(e.var, domains_[static_cast<std::size_t>(e.var)].value()));
+    uip_depths_.push_back(e.depth);
+    return have_frontier && frontier_.size() < uip_lits_.size();
+  };
   uip_lits_.clear();
   uip_depths_.clear();
-  while (k > root_trail) {
-    --k;
-    const TrailEntry& e = trail_[k];
-    if (relevant_stamp_[static_cast<std::size_t>(e.var)] != relevant_epoch_) {
-      continue;
+  std::size_t w = top_word;
+  for (;;) {
+    while (flag_bits_[w] == 0 && w > flag_lo_) --w;
+    if (flag_bits_[w] == 0) break;  // no relevant entry left
+    const int bit = 63 - std::countl_zero(flag_bits_[w]);
+    pos = root_trail + w * 64 + static_cast<std::size_t>(bit);
+    // Decisions skipped on the way down carry no flag: irrelevant.
+    while (below > 0 &&
+           static_cast<std::size_t>(decisions_[below - 1]) > pos) {
+      --below;
+      --unstamped;
     }
+    if (unstamped == 0) {
+      while (below > 0 &&
+             !keep(trail_[static_cast<std::size_t>(decisions_[--below])])) {
+      }
+      break;
+    }
+    flag_bits_[w] &= ~(std::uint64_t{1} << bit);
+    const TrailEntry& e = trail_[pos];
     if (e.reason == kReasonDecision) {
-      uip_lits_.push_back(
-          Lit::eq(e.var, domains_[static_cast<std::size_t>(e.var)].value()));
-      uip_depths_.push_back(e.depth);
+      --below;  // decisions_[below] == pos
+      if (keep(e)) break;
       continue;
     }
-    // pending is harmless below the conflict level: uip_count_ is zero for
-    // every variable once the suffix pass finished.
-    if (!expand_reason(e, mark)) return false;
+    if (!expand_walk_reason(e, mark_below)) {
+      clear_flags(w);
+      return false;
+    }
   }
-  std::reverse(uip_lits_.begin(), uip_lits_.end());
-  std::reverse(uip_depths_.begin(), uip_depths_.end());
+  clear_flags(w);
 
   // Keep whichever form is shorter; ties go to the decision form (the
   // pre-minimization behavior), which also preserves the per-conflict
@@ -632,6 +796,9 @@ bool Solver::analyze_uip(std::size_t root_trail, std::size_t level_start,
       uip_lits_.push_back(f.lit);
       uip_depths_.push_back(f.depth);
     }
+  } else {
+    std::reverse(uip_lits_.begin(), uip_lits_.end());
+    std::reverse(uip_depths_.begin(), uip_depths_.end());
   }
   uip_lits_.push_back(uip);
   uip_depths_.push_back(uip_depth);
@@ -709,170 +876,175 @@ void Solver::build_watch_lists() {
   frozen_ = true;
 }
 
-std::int64_t Solver::heap_key_wdeg(VarId v) const noexcept {
-  return heap_use_wdeg_
-             ? std::max<std::int64_t>(1,
-                                      var_wdeg_[static_cast<std::size_t>(v)])
-             : 1;
+Solver::HeapNode Solver::current_key(VarId v) const noexcept {
+  const auto i = static_cast<std::size_t>(v);
+  const std::int64_t wdeg =
+      heap_use_wdeg_ ? std::max<std::int64_t>(1, var_wdeg_[i]) : 1;
+  return HeapNode{wdeg, domains_[i].size(), v};
 }
 
-void Solver::heap_push(VarId v) {
-  heap_.push_back(HeapEntry{
-      static_cast<std::int64_t>(domains_[static_cast<std::size_t>(v)].size()),
-      heap_key_wdeg(v), v});
-  std::push_heap(heap_.begin(), heap_.end());
-  // Lazy entries accumulate (regressed keys are only discarded at pop);
-  // rebuild compactly once stale entries dominate, which amortizes to O(1)
-  // per push.
-  if (heap_.size() > 4 * domains_.size() + 64) heap_rebuild();
-}
-
-void Solver::heap_rebuild() {
-  heap_.clear();
-  heap_.reserve(static_cast<std::size_t>(unfixed_size_));
-  for (std::int64_t k = 0; k < unfixed_size_; ++k) {
-    const VarId v = unfixed_list_[static_cast<std::size_t>(k)];
-    heap_.push_back(HeapEntry{
-        static_cast<std::int64_t>(
-            domains_[static_cast<std::size_t>(v)].size()),
-        heap_key_wdeg(v), v});
+void Solver::heap_sift_up(std::size_t i) {
+  const HeapNode node = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!heap_before(node, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    heap_pos_[static_cast<std::size_t>(heap_[i].var)] =
+        static_cast<std::int32_t>(i);
+    i = parent;
   }
-  std::make_heap(heap_.begin(), heap_.end());
+  heap_[i] = node;
+  heap_pos_[static_cast<std::size_t>(node.var)] = static_cast<std::int32_t>(i);
+}
+
+void Solver::heap_sift_down(std::size_t i) {
+  const HeapNode node = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_before(heap_[child + 1], heap_[child])) ++child;
+    if (!heap_before(heap_[child], node)) break;
+    heap_[i] = heap_[child];
+    heap_pos_[static_cast<std::size_t>(heap_[i].var)] =
+        static_cast<std::int32_t>(i);
+    i = child;
+  }
+  heap_[i] = node;
+  heap_pos_[static_cast<std::size_t>(node.var)] = static_cast<std::int32_t>(i);
+}
+
+void Solver::heap_pop_root() {
+  heap_pos_[static_cast<std::size_t>(heap_.front().var)] = -1;
+  const HeapNode last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Bottom-up deletion: the hole follows the better child down to a leaf
+  // (one comparison per level), then the old last leaf rises from there —
+  // a leaf key is usually among the worst, so it rises little.
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap_before(heap_[child + 1], heap_[child])) ++child;
+    heap_[i] = heap_[child];
+    heap_pos_[static_cast<std::size_t>(heap_[i].var)] =
+        static_cast<std::int32_t>(i);
+    i = child;
+  }
+  heap_[i] = last;
+  heap_sift_up(i);
+}
+
+void Solver::heap_improve(VarId v) {
+  const HeapNode now = current_key(v);
+  const std::int32_t pos = heap_pos_[static_cast<std::size_t>(v)];
+  if (pos < 0) {
+    heap_.push_back(now);
+    heap_sift_up(heap_.size() - 1);
+    return;
+  }
+  HeapNode& stored = heap_[static_cast<std::size_t>(pos)];
+  if (now.size * stored.wdeg < stored.size * now.wdeg) {
+    stored = now;
+    heap_sift_up(static_cast<std::size_t>(pos));
+  }
 }
 
 VarId Solver::select_from_heap(const SearchOptions& options,
                                support::Rng& rng) {
-  if (unfixed_size_ == 0) return -1;
-  auto pop = [&] {
-    std::pop_heap(heap_.begin(), heap_.end());
-    const HeapEntry e = heap_.back();
-    heap_.pop_back();
-    return e;
-  };
-
-  // Find the best current key.  Entries for fixed variables are dropped;
-  // stale entries (the key moved since the push — only regressions reach
-  // here, improvements always pushed a fresher entry) are refreshed and
-  // retried.  The first entry that matches its variable's current key is
-  // the global minimum with the smallest id, exactly the scan's pick.
-  HeapEntry best{0, 1, -1};
-  for (;;) {
-    if (heap_.empty()) heap_rebuild();
-    MGRTS_ASSERT(!heap_.empty());
-    const HeapEntry e = pop();
-    if (unfixed_pos_[static_cast<std::size_t>(e.var)] < 0) continue;
-    const auto size = static_cast<std::int64_t>(
-        domains_[static_cast<std::size_t>(e.var)].size());
-    const std::int64_t wdeg = heap_key_wdeg(e.var);
-    if (e.size * wdeg == size * e.wdeg) {
-      best = HeapEntry{size, wdeg, e.var};
-      break;
-    }
-    heap_.push_back(HeapEntry{size, wdeg, e.var});
-    std::push_heap(heap_.begin(), heap_.end());
+  // Absorb the key improvements since the last selection, once per
+  // variable.  A variable fixed in the meantime needs none: it is touched
+  // again when it re-enters the unfixed set.
+  for (const VarId v : heap_dirty_) {
+    heap_dirty_flag_[static_cast<std::size_t>(v)] = 0;
+    if (unfixed_pos_[static_cast<std::size_t>(v)] >= 0) heap_improve(v);
   }
-  if (!options.random_var_ties) return best.var;
-
-  // Random tie-breaking: collect every variable whose *current* key ties
-  // the minimum.  The set is a function of the domain/wdeg state alone (not
-  // of heap layout or event order), and drawing from it in ascending-id
-  // order keeps the choice reproducible for a given seed and tree prefix.
-  ++heap_stamp_;
-  std::vector<VarId>& ties = heap_ties_;
-  ties.clear();
-  ties.push_back(best.var);
-  heap_seen_[static_cast<std::size_t>(best.var)] = heap_stamp_;
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (top.size * best.wdeg != best.size * top.wdeg) break;  // worse key
-    const HeapEntry e = pop();
-    if (unfixed_pos_[static_cast<std::size_t>(e.var)] < 0) continue;
-    const auto size = static_cast<std::int64_t>(
-        domains_[static_cast<std::size_t>(e.var)].size());
-    const std::int64_t wdeg = heap_key_wdeg(e.var);
-    if (e.size * wdeg != size * e.wdeg) {
-      // Stale: the current key is strictly worse than the minimum (equal
-      // would contradict staleness), so the fresh entry sinks past the tie
-      // range and the loop keeps terminating.
-      heap_.push_back(HeapEntry{size, wdeg, e.var});
-      std::push_heap(heap_.begin(), heap_.end());
+  heap_dirty_.clear();
+  if (unfixed_size_ == 0) return -1;
+  // Settle the root: a fixed variable's node leaves the heap, and a node
+  // whose key regressed since it was stored is refreshed and sinks.  A
+  // root whose stored key is current is the minimum over every unfixed
+  // variable (each one's stored key is <= its current key), with the
+  // smallest id among equals — exactly the scan's deterministic pick.
+  for (;;) {
+    MGRTS_ASSERT(!heap_.empty());
+    const HeapNode root = heap_.front();
+    if (unfixed_pos_[static_cast<std::size_t>(root.var)] < 0) {
+      heap_pop_root();
       continue;
     }
-    if (heap_seen_[static_cast<std::size_t>(e.var)] != heap_stamp_) {
-      heap_seen_[static_cast<std::size_t>(e.var)] = heap_stamp_;
-      ties.push_back(e.var);
+    const HeapNode now = current_key(root.var);
+    if (same_key(root, now)) break;
+    heap_.front() = now;
+    heap_sift_down(0);
+  }
+  const HeapNode best = heap_.front();
+  if (!options.random_var_ties) return best.var;
+
+  // Random tie-breaking: a variable whose current key ties the minimum
+  // stores the minimum too (stored <= current, and nothing stores less
+  // than the root), and the nodes storing the minimum form one connected
+  // region under the root.  A read-only walk of that region collects the
+  // exact tie set — a function of the domain/wdeg state alone — which is
+  // sorted by id and drawn from once, as the scan does.
+  std::vector<VarId>& ties = ties_;
+  ties.clear();
+  heap_walk_.assign(1, 0);  // holds nodes storing the minimum only
+  while (!heap_walk_.empty()) {
+    const std::size_t i = heap_walk_.back();
+    heap_walk_.pop_back();
+    const VarId var = heap_[i].var;
+    if (unfixed_pos_[static_cast<std::size_t>(var)] >= 0 &&
+        same_key(current_key(var), best)) {
+      ties.push_back(var);
+    }
+    // A child storing a worse key roots a subtree of worse keys.
+    for (std::size_t child = 2 * i + 1;
+         child <= 2 * i + 2 && child < heap_.size(); ++child) {
+      if (same_key(heap_[child], best)) heap_walk_.push_back(child);
     }
   }
   std::sort(ties.begin(), ties.end());
-  const VarId pick = ties[static_cast<std::size_t>(
+  return ties[static_cast<std::size_t>(
       rng.uniform(0, static_cast<std::int64_t>(ties.size()) - 1))];
-  // Restore the invariant: every popped tie variable keeps a live entry.
-  for (const VarId v : ties) heap_push(v);
-  return pick;
 }
 
 VarId Solver::select_variable(const SearchOptions& options, VarId lex_hint,
                               support::Rng& rng) {
   if (options.var_heuristic == VarHeuristic::kLex) {
     for (VarId v = lex_hint; v < static_cast<VarId>(domains_.size()); ++v) {
-      if (domains_[static_cast<std::size_t>(v)].size() > 1) return v;
+      if (!domains_[static_cast<std::size_t>(v)].is_fixed()) return v;
     }
     // The hint only moves forward on a branch; a restart may leave earlier
     // variables unfixed, so fall back to a full scan.
     for (VarId v = 0; v < lex_hint; ++v) {
-      if (domains_[static_cast<std::size_t>(v)].size() > 1) return v;
+      if (!domains_[static_cast<std::size_t>(v)].is_fixed()) return v;
     }
     return -1;
   }
 
   if (heap_active_) return select_from_heap(options, rng);
 
+  // The reference scan: the minimum size/wdeg fraction, ties by id; under
+  // random ties the exact tie set, sorted by id, drawn from once.
   VarId best = -1;
-  std::int64_t best_size = 0;
-  std::int64_t best_wdeg = 1;
-  std::int64_t ties = 0;
+  HeapNode best_key{1, 0, -1};
+  std::vector<VarId>& ties = ties_;
+  ties.clear();
   for (std::int64_t k = 0; k < unfixed_size_; ++k) {
     const VarId v = unfixed_list_[static_cast<std::size_t>(k)];
-    const auto size =
-        static_cast<std::int64_t>(domains_[static_cast<std::size_t>(v)].size());
-    const std::int64_t wdeg =
-        options.var_heuristic == VarHeuristic::kDomWdeg
-            ? std::max<std::int64_t>(1, var_wdeg_[static_cast<std::size_t>(v)])
-            : 1;
-    // Compare size/wdeg < best_size/best_wdeg via cross multiplication.
-    bool better;
-    bool tie;
-    if (best < 0) {
-      better = true;
-      tie = false;
-    } else {
-      const std::int64_t lhs = size * best_wdeg;
-      const std::int64_t rhs = best_size * wdeg;
-      better = lhs < rhs;
-      tie = lhs == rhs;
-    }
-    if (better) {
+    const HeapNode key = current_key(v);
+    if (best < 0 || heap_before(key, best_key)) {
+      if (best < 0 || !same_key(key, best_key)) ties.clear();
       best = v;
-      best_size = size;
-      best_wdeg = wdeg;
-      ties = 1;
-    } else if (tie) {
-      if (options.random_var_ties) {
-        // Reservoir sampling keeps each tied candidate equally likely.
-        ++ties;
-        if (rng.uniform(1, ties) == 1) {
-          best = v;
-          best_size = size;
-          best_wdeg = wdeg;
-        }
-      } else if (v < best) {
-        best = v;
-        best_size = size;
-        best_wdeg = wdeg;
-      }
+      best_key = key;
     }
+    if (same_key(key, best_key)) ties.push_back(v);
   }
-  return best;
+  if (!options.random_var_ties || best < 0) return best;
+  std::sort(ties.begin(), ties.end());
+  return ties[static_cast<std::size_t>(
+      rng.uniform(0, static_cast<std::int64_t>(ties.size()) - 1))];
 }
 
 Value Solver::select_value(const SearchOptions& options, VarId var,
@@ -907,8 +1079,9 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
                  options.var_heuristic != VarHeuristic::kLex;
   heap_use_wdeg_ = options.var_heuristic == VarHeuristic::kDomWdeg;
   heap_.clear();
-  heap_seen_.assign(domains_.size(), 0);
-  heap_stamp_ = 0;
+  heap_pos_.assign(domains_.size(), -1);
+  heap_dirty_.clear();
+  heap_dirty_flag_.assign(domains_.size(), 0);
 
   // The nogood store joins the model as a propagator before the watch
   // lists freeze; it stays empty (and silent) until the first conflict.
@@ -932,6 +1105,10 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   store_direct_fixed_ = nogood_store_ != nullptr && !uip_learning;
   if (nogood_store_ != nullptr) nogood_store_->bind_stats(&stats_);
 
+  // Every advisor hears every event until root propagation has primed it
+  // (see below).
+  watch_mask_.assign(propagators_.size(), ~std::uint64_t{0});
+
   // Per-propagator observability (the propagator set is final here).
   prop_wakes_.assign(propagators_.size(), 0);
   prop_runs_.assign(propagators_.size(), 0);
@@ -939,6 +1116,9 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   prop_seconds_.assign(propagators_.size(), 0.0);
   prop_profile_ = options.prop_profile;
   running_prop_ = -1;
+  phase_ns_.fill(0);
+  phase_ = Phase::kOther;
+  if (prop_profile_) phase_t0_ = std::chrono::steady_clock::now();
 
   // Reason tracking (DESIGN.md §10) is built only when conflict-analysis
   // shrinking can use it (or the determinism probe forces it); otherwise
@@ -950,19 +1130,30 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   active_reason_ = kReasonNone;
   if (track_reasons_) {
     reason_offset_.assign(1, 0);
+    decisions_.clear();
     reason_vars_.clear();
     relevant_stamp_.assign(domains_.size(), 0);
+    expanded_stamp_.assign(propagators_.size(), 0);
     relevant_epoch_ = 0;
-    if (uip_learning) {
-      uip_count_.assign(domains_.size(), 0);
-      walk_mask_.assign(domains_.size(), 0);
-      walk_stamp_.assign(domains_.size(), 0);
-    }
+    if (uip_learning) uip_count_.assign(domains_.size(), 0);
   }
   cur_depth_ = 0;
 
   SolveOutcome outcome;
   auto finish = [&](SolveStatus status) {
+    enter_phase(Phase::kOther);  // close the last interval before the clock
+    if (prop_profile_) {
+      auto secs = [&](Phase p) {
+        return static_cast<double>(phase_ns_[static_cast<std::size_t>(p)]) *
+               1e-9;
+      };
+      stats_.phases = SearchPhases{secs(Phase::kSelect),
+                                   secs(Phase::kPropagate),
+                                   secs(Phase::kAnalyze),
+                                   secs(Phase::kMinimize),
+                                   secs(Phase::kBackjump),
+                                   secs(Phase::kRestart)};
+    }
     stats_.seconds = watch.seconds();
     // Fold the per-id counters into per-class rows keyed by name() (the
     // class set is tiny, so a linear probe beats a map), sorted by name
@@ -1014,6 +1205,17 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
     bump_failure(failing_prop_);
     return finish(SolveStatus::kUnsat);
   }
+  // Every propagator has now run once, so every counter is primed and event
+  // delivery may honour the watched-value contract.  Scratch mode keeps
+  // delivering every event: the incremental-vs-scratch differentials then
+  // compare filtered against unfiltered delivery.
+  if (!scratch_) {
+    for (std::size_t k = 0; k < propagators_.size(); ++k) {
+      if (const auto value = propagators_[k]->watched_value()) {
+        watch_mask_[k] = watched_bit(propagators_[k]->scope(), *value);
+      }
+    }
+  }
   Mark root_mark = mark();  // advanced by restart-time root strengthening
   if (uip_learning && nogood_store_ != nullptr) snapshot_root_bounds();
 
@@ -1045,6 +1247,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
 
     // Depth-first search with an explicit frame stack.
     while (!restart_requested) {
+      enter_phase(Phase::kSelect);
       if (all_assigned()) {
         return finish(SolveStatus::kSat);
       }
@@ -1098,12 +1301,14 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
           return finish(SolveStatus::kNodeLimit);
         }
 
+        enter_phase(Phase::kPropagate);
         if (track_reasons_) active_reason_ = kReasonDecision;
         const PropResult fixed = fix(top.var, value);
         if (track_reasons_) active_reason_ = kReasonNone;
         const bool ok = fixed == PropResult::kOk && propagate_queue();
         if (ok) break;  // descend
 
+        enter_phase(Phase::kAnalyze);
         ++stats_.failures;
         bump_failure(failing_prop_);
 
@@ -1189,6 +1394,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
         // reason.  A clause that still pins the conflict level (Phase B
         // kept the conflict decision) falls back to the chronological
         // retry, as does every conflict without a usable 1-UIP analysis.
+        enter_phase(Phase::kBackjump);
         if (failures_until_restart > 0 && --failures_until_restart == 0) {
           restart_requested = true;  // record below, then restart
         }
@@ -1254,6 +1460,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
           // Fresh conflict at the assertion level.  A failed assert
           // short-circuits propagate_queue, so flush its stale wakeups.
           if (asserted != PropResult::kOk) clear_queue();
+          enter_phase(Phase::kAnalyze);
           ++stats_.failures;
           bump_failure(failing_prop_);
           if (frames.empty()) {
@@ -1267,6 +1474,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
             again = analyze_uip(root_mark.domain, frames.back().mark.domain,
                                 options.nogood_minimize);
           }
+          enter_phase(Phase::kBackjump);
           failing_prop_ = -1;
           std::int32_t next_level = -1;
           if (again) {
@@ -1299,6 +1507,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
 
     // Restart: rewind to the root state and search again (the rng state
     // advances, so randomized heuristics explore a different tree).
+    enter_phase(Phase::kRestart);
     frames.clear();
     backtrack_to(root_mark);
     cur_depth_ = 0;

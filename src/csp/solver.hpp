@@ -41,8 +41,10 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "csp/domain.hpp"
@@ -140,6 +142,16 @@ class Propagator {
 
   [[nodiscard]] virtual PropPriority priority() const {
     return PropPriority::kGlobal;
+  }
+
+  /// Watched-value contract (DESIGN.md §2): a propagator returning a value
+  /// v here promises that, once its first run has completed, its advisor
+  /// neither changes state nor returns true on an event that did not
+  /// remove v from the variable and did not fix the variable to v.  The
+  /// solver then skips the advisor call on every other event.  Before the
+  /// first run the advisor still hears every event.
+  [[nodiscard]] virtual std::optional<Value> watched_value() const {
+    return std::nullopt;
   }
 
   /// Advisor: runs synchronously on every subscribed event on scope()[pos]
@@ -275,31 +287,39 @@ class Solver {
     return Mark{trail_.size(), state_trail_.size(), reason_offset_.size() - 1};
   }
 
-  /// One lazy selection-heap entry: the (size, wdeg) pair the variable had
-  /// when pushed.  Entries are never updated in place — improvements push a
-  /// fresh entry and stale ones are discarded or refreshed at pop time.
-  struct HeapEntry {
-    std::int64_t size;
+  /// One selection-heap node: the (size, wdeg) key stored for `var`.
+  /// While `var` is unfixed the stored key is never worse than its current
+  /// key (DESIGN.md §7).
+  struct HeapNode {
     std::int64_t wdeg;
+    std::int32_t size;
     VarId var;
-
-    /// std::*_heap comparator ("this sinks below o"): worse size/wdeg
-    /// fractions sink, equal fractions sink the larger variable id — so the
-    /// heap front is exactly the scan's deterministic pick.  Fractions are
-    /// compared by cross multiplication (size <= 64, products fit easily).
-    [[nodiscard]] bool operator<(const HeapEntry& o) const noexcept {
-      const std::int64_t lhs = size * o.wdeg;
-      const std::int64_t rhs = o.size * wdeg;
-      if (lhs != rhs) return lhs > rhs;
-      return var > o.var;
-    }
   };
+
+  /// Equal size/wdeg fractions, compared by cross multiplication (size <=
+  /// 64, so the products fit easily).
+  [[nodiscard]] static bool same_key(const HeapNode& a,
+                                     const HeapNode& b) noexcept {
+    return a.size * b.wdeg == b.size * a.wdeg;
+  }
+  /// Heap order: the smaller fraction first, equal fractions by the
+  /// smaller variable id — so the root is exactly the scan's pick.
+  [[nodiscard]] static bool heap_before(const HeapNode& a,
+                                        const HeapNode& b) noexcept {
+    const std::int64_t lhs = a.size * b.wdeg;
+    const std::int64_t rhs = b.size * a.wdeg;
+    if (lhs != rhs) return lhs < rhs;
+    return a.var < b.var;
+  }
 
   void trail_push(VarId v, std::uint64_t old_mask);
   void backtrack_to(const Mark& mark);
   void sync_membership(VarId v);
   void notify_watchers(VarId v, std::uint64_t old_mask, bool became_fixed);
-  void wake_list(const WatchList& list, VarId v, std::uint64_t old_mask);
+  /// Walks one watch list; `hit` holds the values whose watchers may react
+  /// (the removed values, plus the remaining one after a fix).
+  void wake_list(const WatchList& list, VarId v, std::uint64_t old_mask,
+                 std::uint64_t hit);
   /// Direct (non-virtual) event delivery to the solve-owned nogood store —
   /// the store watches *every* variable, so routing it through the CSR
   /// lists would add one entry per variable per list; instead the lists
@@ -312,9 +332,21 @@ class Solver {
   void bump_failure(std::int32_t prop_id);
 
   // ---- selection heap (SelectionMode::kHeap; DESIGN.md §7) ------------
-  [[nodiscard]] std::int64_t heap_key_wdeg(VarId v) const noexcept;
-  void heap_push(VarId v);
-  void heap_rebuild();
+  [[nodiscard]] HeapNode current_key(VarId v) const noexcept;
+  /// Notes a key improvement of `v` (a narrowing, a wdeg bump, re-entering
+  /// the unfixed set); the next selection absorbs it through heap_improve.
+  void heap_touch(VarId v) {
+    auto& flag = heap_dirty_flag_[static_cast<std::size_t>(v)];
+    if (flag != 0) return;
+    flag = 1;
+    heap_dirty_.push_back(v);
+  }
+  /// Inserts `v`, or lowers its stored key to its current key when that is
+  /// strictly better.
+  void heap_improve(VarId v);
+  void heap_sift_up(std::size_t i);
+  void heap_sift_down(std::size_t i);
+  void heap_pop_root();
   [[nodiscard]] VarId select_from_heap(const SearchOptions& options,
                                        support::Rng& rng);
 
@@ -348,17 +380,30 @@ class Solver {
 
   std::vector<std::int64_t> var_wdeg_;
 
-  // Lazy selection heap: min-heap over (size/wdeg fraction, var id) with
-  // stale entries.  Invariant while heap_active_: every unfixed variable
-  // has at least one entry whose key is <= its current key (improvements —
-  // size drops, wdeg bumps, re-insertions — always push; regressions only
-  // go stale and are refreshed at pop).
-  std::vector<HeapEntry> heap_;
-  std::vector<std::int64_t> heap_seen_;  ///< tie-dedup stamps per variable
-  std::vector<VarId> heap_ties_;         ///< random-tie scratch (no realloc)
-  std::int64_t heap_stamp_ = 0;
+  // Selection heap: a binary min-heap with one node per variable, in
+  // heap_before order over the stored keys.  Invariant at every selection
+  // while heap_active_: every unfixed variable has a node, and its stored
+  // key is <= its current key (improvements are noted as they happen and
+  // applied in place when the selection starts; regressions wait for the
+  // root).  Fixed variables may keep a node until it reaches the root.
+  std::vector<HeapNode> heap_;
+  std::vector<std::int32_t> heap_pos_;  ///< node index per variable, -1: none
+  std::vector<VarId> heap_dirty_;       ///< improved since the last selection
+  std::vector<std::uint8_t> heap_dirty_flag_;  ///< membership in heap_dirty_
+  std::vector<VarId> ties_;             ///< random-tie scratch (no realloc)
+  std::vector<std::size_t> heap_walk_;  ///< tie-region walk stack
   bool heap_active_ = false;
   bool heap_use_wdeg_ = false;
+
+  /// Per propagator id: the domain bits an event must touch (remove, or
+  /// keep as the fixed value) for the advisor to hear it — its
+  /// watched_value()'s bit, or all ones for propagators without one and for
+  /// every propagator until root propagation has primed them (always, under
+  /// PropagationMode::kScratch).
+  std::vector<std::uint64_t> watch_mask_;
+  /// watch_mask_ entry for a propagator watching `value` over `scope`.
+  [[nodiscard]] std::uint64_t watched_bit(const std::vector<VarId>& scope,
+                                          Value value) const;
 
   struct TrailEntry {
     std::uint64_t old_mask;
@@ -374,6 +419,10 @@ class Solver {
   /// Newest trail entry per variable (-1: untouched); restored alongside
   /// the trail via TrailEntry::prev_on_var.
   std::vector<std::int32_t> last_entry_;
+  /// Trail positions of the decision entries, ascending (one per decision
+  /// level); kept only while the reason trail is.
+  std::vector<std::int32_t> decisions_;
+
   /// Current decision depth (== open frame count), stamped into every
   /// trail entry; maintained by solve() at frame pushes/pops and restarts.
   std::int32_t cur_depth_ = 0;
@@ -395,15 +444,15 @@ class Solver {
   // Epoch-stamped "relevant" set of the conflict-analysis walk.
   std::vector<std::int64_t> relevant_stamp_;
   std::int64_t relevant_epoch_ = 0;
+  /// Per propagator id: the epoch whose 1-UIP walk last expanded its scope.
+  std::vector<std::int64_t> expanded_stamp_;
 
   // ---- 1-UIP walk state (epoch-stamped; sized only while tracking) -----
   /// Unvisited conflict-level suffix entries per variable (zeroed after
   /// every walk); feeds the pending-resolvent counter.
   std::vector<std::int32_t> uip_count_;
-  /// Domain-mask overlay of the newest-first walk: the domain each visited
-  /// entry saw *after* its change (walk_stamp_ keys validity).
-  std::vector<std::uint64_t> walk_mask_;
-  std::vector<std::int64_t> walk_stamp_;
+  /// Variables marked relevant by the active walk, in marking order.
+  std::vector<VarId> uip_marked_;
   /// Root-level domain bounds (refreshed when the root mark advances);
   /// entry_literal emits >=/<= literals exactly when they are equivalent
   /// to the removal literal relative to these.
@@ -421,6 +470,12 @@ class Solver {
     std::int32_t trail_idx;
   };
   std::vector<FrontierLit> frontier_;
+  /// analyze_uip's relevant-entry bitmap below the UIP, indexed by trail
+  /// position - root_trail (all zero between calls), the post-change mask
+  /// of each flagged entry, and the lowest word holding a flag.
+  std::vector<std::uint64_t> flag_bits_;
+  std::vector<std::uint64_t> flag_post_;
+  std::size_t flag_lo_ = 0;
   /// Per-trail-entry memo of the self-subsumption recursion ("is this
   /// entry's reason transitively covered by the Phase-A mark set?"),
   /// epoch-stamped so no per-conflict clearing is needed.
@@ -451,9 +506,18 @@ class Solver {
 
   // ---- 1-UIP resolution walk (DESIGN.md §11) ---------------------------
 
+  /// expand_reason for the 1-UIP walk's marking passes, which are
+  /// idempotent within one epoch: a propagator reason already expanded in
+  /// this walk is skipped (expanded_stamp_).
+  template <typename MarkFn>
+  [[nodiscard]] bool expand_walk_reason(const TrailEntry& e, MarkFn&& mark);
+
   /// Marks `v` relevant for the active walk epoch; during the conflict-
   /// level phase the pending counter absorbs v's unvisited suffix entries.
   void uip_mark(VarId v, std::int64_t& pending);
+  /// The domain mask trail entry `idx` left behind: the old_mask of the
+  /// next newer entry on its variable, or the current domain.
+  [[nodiscard]] std::uint64_t post_mask(std::size_t idx) const;
   /// The literal entry `e` made true: a fix is (var == v); a single-value
   /// removal is (var != a), emitted as the equivalent bound literal
   /// (var >= a+1 / var <= a-1) when `a` is the variable's root min/max.
@@ -474,6 +538,11 @@ class Solver {
   /// emitted clause is still never longer than the decision set.
   [[nodiscard]] bool analyze_uip(std::size_t root_trail,
                                  std::size_t level_start, bool minimize);
+  /// Flags every entry of `v` in [root_trail, below) in flag_bits_,
+  /// walking v's trail chain, and notes each one's post-change mask in
+  /// flag_post_; returns how many it flagged.
+  std::size_t flag_entries(VarId v, std::size_t root_trail,
+                           std::size_t below);
 
   /// Refreshes root_min_/root_max_ from the current (root-level) domains;
   /// called whenever the root mark advances while 1-UIP learning is on —
@@ -522,6 +591,27 @@ class Solver {
   std::vector<double> prop_seconds_;
   std::int32_t running_prop_ = -1;  ///< id inside propagate(), else -1
   bool prop_profile_ = false;
+
+  // ---- search-phase profile (SolveStats::phases; prop_profile_ only) ---
+  enum class Phase : std::uint8_t {
+    kOther,  ///< set-up, root propagation, result assembly (not reported)
+    kSelect,
+    kPropagate,
+    kAnalyze,
+    kMinimize,
+    kBackjump,
+    kRestart,
+  };
+  static constexpr std::size_t kPhaseCount = 7;
+  /// Charges the time since the previous switch to the current phase and
+  /// makes `next` current; free unless profiling.
+  void enter_phase(Phase next) {
+    if (prop_profile_) switch_phase(next);
+  }
+  void switch_phase(Phase next);
+  std::array<std::int64_t, kPhaseCount> phase_ns_{};
+  std::chrono::steady_clock::time_point phase_t0_;
+  Phase phase_ = Phase::kOther;
 
   /// Owned by propagators_ like any propagator; non-null while the active
   /// solve records nogoods (see solve()).

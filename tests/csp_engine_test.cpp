@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/solve.hpp"
 #include "csp/nogoods.hpp"
 #include "csp/propagators.hpp"
 #include "csp/solver.hpp"
@@ -18,6 +19,7 @@
 #include "encodings/csp2_generic.hpp"
 #include "gen/generator.hpp"
 #include "rt/platform.hpp"
+#include "support/rng.hpp"
 
 namespace mgrts::csp {
 namespace {
@@ -185,11 +187,28 @@ TEST(EventEngine, TrailedStateSurvivesBacktrackingAndRestarts) {
 
 // -------------------------------------------------------- differential
 
+/// Advisors answer identically in both propagation modes (scratch mode
+/// only skips the watched-value filter, never an advisor's answer), so on
+/// models whose propagators prune in the same event order in both modes the
+/// per-class wake counts match too — root propagation included, where
+/// unprimed counters must hear every event.  Symmetry chains are the
+/// exception: the worklist and the full sweep reach the same fixpoint
+/// through different event sequences, so only their trees match.
+void expect_same_wakes(const SolveStats& inc, const SolveStats& ref,
+                       std::uint64_t index) {
+  ASSERT_EQ(inc.propagators.size(), ref.propagators.size());
+  for (std::size_t k = 0; k < inc.propagators.size(); ++k) {
+    EXPECT_EQ(inc.propagators[k].name, ref.propagators[k].name);
+    EXPECT_EQ(inc.propagators[k].wakes, ref.propagators[k].wakes)
+        << inc.propagators[k].name << ", instance " << index;
+  }
+}
+
 csp::SolveOutcome solve_csp2_generic(const gen::Instance& inst,
-                                     PropagationMode mode,
-                                     std::uint64_t seed) {
-  const auto model = enc::build_csp2_generic(
-      inst.tasks, rt::Platform::identical(inst.processors));
+                                     const rt::Platform& platform,
+                                     PropagationMode mode, std::uint64_t seed,
+                                     std::int64_t max_nodes = 20'000) {
+  const auto model = enc::build_csp2_generic(inst.tasks, platform);
   SearchOptions options;
   options.var_heuristic = VarHeuristic::kDomWdeg;
   options.val_heuristic = ValHeuristic::kRandom;
@@ -198,8 +217,15 @@ csp::SolveOutcome solve_csp2_generic(const gen::Instance& inst,
   options.restart_scale = 16;
   options.propagation = mode;
   options.seed = seed;
-  options.max_nodes = 20'000;
+  options.max_nodes = max_nodes;
   return model.solver->solve(options);
+}
+
+csp::SolveOutcome solve_csp2_generic(const gen::Instance& inst,
+                                     PropagationMode mode,
+                                     std::uint64_t seed) {
+  return solve_csp2_generic(inst, rt::Platform::identical(inst.processors),
+                            mode, seed);
 }
 
 TEST(EventEngine, IncrementalExploresSameTreeAsScratchOnCsp2) {
@@ -222,6 +248,50 @@ TEST(EventEngine, IncrementalExploresSameTreeAsScratchOnCsp2) {
     EXPECT_EQ(inc.stats.restarts, ref.stats.restarts) << "instance " << index;
     EXPECT_EQ(inc.assignment, ref.assignment) << "instance " << index;
   }
+}
+
+TEST(EventEngine, IncrementalExploresSameTreeAsScratchOnHeterogeneousCsp2) {
+  // A heterogeneous rate matrix makes the per-job counters WeightedCountEq
+  // over task values, not just over {0,1} as in CSP1, so the watched-value
+  // filter of both counter classes meets its unfiltered (scratch)
+  // reference on the values it actually filters.
+  gen::GeneratorOptions workload;
+  workload.tasks = 6;
+  workload.processors = 3;
+  workload.rule = gen::ProcessorRule::kFixed;
+  workload.t_max = 6;
+  workload.order = gen::ParamOrder::kDFirst;
+
+  std::int64_t weighted_wakes = 0;
+  for (std::uint64_t index = 0; index < 12; ++index) {
+    const gen::Instance inst = gen::generate_indexed(workload, 4711, index);
+    support::Rng rng(index + 1);
+    std::vector<std::vector<rt::Rate>> rates(
+        static_cast<std::size_t>(inst.tasks.size()));
+    for (auto& row : rates) {
+      for (int j = 0; j < inst.processors; ++j) {
+        row.push_back(static_cast<rt::Rate>(rng.uniform(0, 2)));
+      }
+      row[static_cast<std::size_t>(rng.uniform(0, inst.processors - 1))] = 2;
+    }
+    const rt::Platform platform = rt::Platform::heterogeneous(rates);
+    const auto inc = solve_csp2_generic(inst, platform,
+                                        PropagationMode::kIncremental, index,
+                                        /*max_nodes=*/4'000);
+    const auto ref = solve_csp2_generic(inst, platform,
+                                        PropagationMode::kScratch, index,
+                                        /*max_nodes=*/4'000);
+    EXPECT_EQ(inc.status, ref.status) << "instance " << index;
+    EXPECT_EQ(inc.stats.nodes, ref.stats.nodes) << "instance " << index;
+    EXPECT_EQ(inc.stats.failures, ref.stats.failures) << "instance " << index;
+    EXPECT_EQ(inc.stats.restarts, ref.stats.restarts) << "instance " << index;
+    EXPECT_EQ(inc.assignment, ref.assignment) << "instance " << index;
+    expect_same_wakes(inc.stats, ref.stats, index);
+    for (const PropagatorProfile& row : inc.stats.propagators) {
+      if (row.name == "weighted-count-eq") weighted_wakes += row.wakes;
+    }
+  }
+  EXPECT_GT(weighted_wakes, 0) << "the rate matrix must weight the counters";
 }
 
 TEST(EventEngine, IncrementalExploresSameTreeAsScratchOnCsp1) {
@@ -251,6 +321,7 @@ TEST(EventEngine, IncrementalExploresSameTreeAsScratchOnCsp1) {
     EXPECT_EQ(inc.stats.nodes, ref.stats.nodes) << "instance " << index;
     EXPECT_EQ(inc.stats.failures, ref.stats.failures) << "instance " << index;
     EXPECT_EQ(inc.assignment, ref.assignment) << "instance " << index;
+    expect_same_wakes(inc.stats, ref.stats, index);
   }
 }
 
@@ -315,31 +386,39 @@ TEST(SelectionHeap, HeapExploresSameTreeAsScanOnCsp2) {
   }
 }
 
-TEST(SelectionHeap, HeapMatchesScanVerdictWithRandomTies) {
-  // Random tie-breaking draws from the same tie set but in a different
-  // stream order, so trees may differ; exhaustive verdicts may not.
+TEST(SelectionHeap, HeapExploresSameTreeAsScanWithRandomTies) {
+  // Under random tie-breaking both modes collect the exact tie set, sort it
+  // by id and draw from it once, so the heap must reproduce the scan's tree
+  // in the fleet lane's configuration too: Choco-like randomized dom/wdeg
+  // with Luby restarts, 1-UIP learning, backjumping and minimization, on
+  // Table-I-shaped instances.
   gen::GeneratorOptions workload;
-  workload.tasks = 4;
-  workload.processors = 2;
+  workload.tasks = 10;
+  workload.processors = 5;
   workload.rule = gen::ProcessorRule::kFixed;
-  workload.t_max = 4;
+  workload.t_max = 7;
+  workload.order = gen::ParamOrder::kDFirst;
 
   for (std::uint64_t index = 0; index < 6; ++index) {
     const gen::Instance inst = gen::generate_indexed(workload, 999, index);
     auto run = [&](SelectionMode mode) {
       const auto model = enc::build_csp2_generic(
           inst.tasks, rt::Platform::identical(inst.processors));
-      SearchOptions options;
-      options.var_heuristic = VarHeuristic::kDomWdeg;
-      options.val_heuristic = ValHeuristic::kRandom;
-      options.random_var_ties = true;
+      SearchOptions options = core::choco_like_defaults(index + 7);
+      options.nogoods = true;
       options.selection = mode;
-      options.seed = index + 7;
+      options.max_nodes = 1'000;
       return model.solver->solve(options);
     };
     const auto heap = run(SelectionMode::kHeap);
     const auto scan = run(SelectionMode::kScan);
     EXPECT_EQ(heap.status, scan.status) << "instance " << index;
+    EXPECT_EQ(heap.stats.nodes, scan.stats.nodes) << "instance " << index;
+    EXPECT_EQ(heap.stats.failures, scan.stats.failures)
+        << "instance " << index;
+    EXPECT_EQ(heap.stats.restarts, scan.stats.restarts)
+        << "instance " << index;
+    EXPECT_EQ(heap.assignment, scan.assignment) << "instance " << index;
   }
 }
 

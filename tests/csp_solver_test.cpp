@@ -326,6 +326,54 @@ TEST(Solver, ReasonTrailIsAPureObserver) {
   EXPECT_EQ(plain.assignment, traced.assignment);
 }
 
+TEST(Solver, PhaseProfileFillsOnlyUnderProfilingAndStaysWithinSeconds) {
+  // The phase clock reads hide behind prop_profile: off, every phase reads
+  // zero; on, each interval of the search loop is charged to one phase, so
+  // the phases never sum past the solve's wall time.  Profiling observes
+  // only: the tree is the same either way.
+  auto run = [&](bool profile) {
+    Solver solver;
+    std::vector<VarId> vars;
+    for (int k = 0; k < 7; ++k) vars.push_back(solver.add_variable(0, 5));
+    solver.add(make_all_different_except(vars, -9));  // pigeonhole: UNSAT
+    solver.add(make_count_eq(vars, /*value=*/5, /*target=*/1));
+    SearchOptions options;
+    options.val_heuristic = ValHeuristic::kRandom;
+    options.random_var_ties = true;
+    options.restart = RestartPolicy::kLuby;
+    options.restart_scale = 2;
+    options.nogoods = true;
+    options.prop_profile = profile;
+    options.seed = 23;
+    return solver.solve(options);
+  };
+  const auto off = run(false);
+  const auto on = run(true);
+  EXPECT_EQ(off.status, SolveStatus::kUnsat);
+  EXPECT_EQ(off.stats.nodes, on.stats.nodes);
+  EXPECT_EQ(off.stats.failures, on.stats.failures);
+  EXPECT_EQ(off.stats.restarts, on.stats.restarts);
+
+  const SearchPhases& zero = off.stats.phases;
+  EXPECT_EQ(zero.select, 0.0);
+  EXPECT_EQ(zero.propagate, 0.0);
+  EXPECT_EQ(zero.analyze, 0.0);
+  EXPECT_EQ(zero.minimize, 0.0);
+  EXPECT_EQ(zero.backjump, 0.0);
+  EXPECT_EQ(zero.restart, 0.0);
+
+  const SearchPhases& p = on.stats.phases;
+  ASSERT_GT(on.stats.restarts, 0);
+  ASSERT_GT(on.stats.backjumps, 0);
+  EXPECT_GT(p.select, 0.0);
+  EXPECT_GT(p.propagate, 0.0);
+  EXPECT_GT(p.analyze, 0.0);
+  EXPECT_GE(p.minimize, 0.0);
+  EXPECT_GT(p.backjump, 0.0);
+  EXPECT_GT(p.restart, 0.0);
+  EXPECT_LE(p.total(), on.stats.seconds);
+}
+
 TEST(Solver, CancelledTokenReportsTimeout) {
   // Cooperative cancellation surfaces as a deadline expiry at the next
   // poll, even with no wall-clock limit set.

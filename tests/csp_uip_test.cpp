@@ -5,14 +5,19 @@
 // decision-set differential — solver-level and on the pipeline residue.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/solve.hpp"
 #include "csp/nogoods.hpp"
 #include "csp/propagators.hpp"
 #include "csp/solver.hpp"
+#include "encodings/csp2_generic.hpp"
 #include "exp/harness.hpp"
+#include "gen/generator.hpp"
+#include "rt/platform.hpp"
 #include "support/rng.hpp"
 
 namespace mgrts::csp {
@@ -460,6 +465,64 @@ TEST(BackjumpDifferential, IncrementalMatchesScratchAcrossMultiLevelUnwinds) {
     backjumps += fast.stats.backjumps;
   }
   EXPECT_GT(backjumps, 1000) << "the family must jump in bulk";
+}
+
+// ------------------------------------------------- search-tree count pins
+
+// The fleet lane (`csp2g-learn`: CSP2 encoding, Choco-like randomized
+// dom/wdeg search with Luby restarts, 1-UIP learning, backjumping and
+// minimization) on 24 fixed Table-I instances at a 1,000-node budget.  The
+// sums below were recorded from the engine and pin its search trees count
+// by count: a throughput change to the engine must leave every one of them
+// unchanged.  A change that alters trees on purpose re-pins them and says
+// so in its change notes.
+TEST(SearchTrees, Csp2gLearnCountsArePinned) {
+  gen::GeneratorOptions workload;
+  workload.tasks = 10;
+  workload.processors = 5;
+  workload.rule = gen::ProcessorRule::kFixed;
+  workload.t_max = 7;
+  workload.order = gen::ParamOrder::kDFirst;
+
+  std::int64_t nodes = 0, failures = 0, restarts = 0, propagations = 0;
+  std::int64_t recorded = 0, backjumps = 0, minimized = 0;
+  std::map<std::string, std::int64_t> wakes;
+  for (std::uint64_t index = 0; index < 24; ++index) {
+    const gen::Instance inst = gen::generate_indexed(workload, 1, index);
+    exp::SolverSpec spec =
+        *exp::spec_from_name("csp2g-learn", /*time_limit_ms=*/60'000,
+                             /*seed=*/1);
+    exp::reseed_for_index(spec.config, index);
+    const enc::Csp2GenericModel model = enc::build_csp2_generic(
+        inst.tasks, rt::Platform::identical(inst.processors),
+        spec.config.csp2_generic, spec.config.limits);
+    SearchOptions options = spec.config.generic;
+    options.max_nodes = 1'000;
+    const SolveOutcome outcome = model.solver->solve(options);
+    nodes += outcome.stats.nodes;
+    failures += outcome.stats.failures;
+    restarts += outcome.stats.restarts;
+    propagations += outcome.stats.propagations;
+    recorded += outcome.stats.nogoods_recorded;
+    backjumps += outcome.stats.backjumps;
+    minimized += outcome.stats.nogood_lits_minimized;
+    for (const PropagatorProfile& row : outcome.stats.propagators) {
+      wakes[row.name] += row.wakes;
+    }
+  }
+  EXPECT_EQ(nodes, 22'592);
+  EXPECT_EQ(failures, 13'686);
+  EXPECT_EQ(restarts, 76);
+  EXPECT_EQ(propagations, 210'814);
+  EXPECT_EQ(recorded, 13'618);
+  EXPECT_EQ(backjumps, 13'609);
+  EXPECT_EQ(minimized, 10'452);
+  const std::map<std::string, std::int64_t> pinned_wakes{
+      {"all-different-except", 69'707},
+      {"count-eq", 142'653},
+      {"nogood-store", 57'879},
+      {"symmetry-chain", 310'921}};
+  EXPECT_EQ(wakes, pinned_wakes);
 }
 
 }  // namespace
