@@ -1,6 +1,9 @@
 #include "core/canonical.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <compare>
 #include <functional>
 #include <numeric>
 #include <tuple>
@@ -10,29 +13,25 @@ namespace mgrts::core {
 
 namespace {
 
+/// A task in canonical position: its (possibly scaled) parameters and the
+/// task whose rate row it carries on a heterogeneous platform.
 struct CanonicalTask {
   rt::TaskParams params;
-  std::vector<rt::Rate> row;  // heterogeneous rate row; empty otherwise
-
-  [[nodiscard]] friend bool operator<(const CanonicalTask& a,
-                                      const CanonicalTask& b) {
-    const auto key = [](const CanonicalTask& t) {
-      return std::tuple(t.params.offset, t.params.wcet, t.params.deadline,
-                        t.params.period);
-    };
-    if (key(a) != key(b)) return key(a) < key(b);
-    return a.row < b.row;
-  }
+  rt::TaskId source = 0;
 };
 
-void append_params(std::string& out, const rt::TaskParams& p) {
-  out += std::to_string(p.offset);
-  out += ',';
-  out += std::to_string(p.wcet);
-  out += ',';
-  out += std::to_string(p.deadline);
-  out += ',';
-  out += std::to_string(p.period);
+/// (O, C, D, T) lexicographically, in one comparison chain.
+std::strong_ordering compare_params(const rt::TaskParams& a,
+                                    const rt::TaskParams& b) {
+  return std::tie(a.offset, a.wcet, a.deadline, a.period) <=>
+         std::tie(b.offset, b.wcet, b.deadline, b.period);
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  std::array<char, 20> digits;  // INT64_MIN is 20 characters
+  const char* end =
+      std::to_chars(digits.data(), digits.data() + digits.size(), value).ptr;
+  out.append(digits.data(), static_cast<std::size_t>(end - digits.data()));
 }
 
 }  // namespace
@@ -41,23 +40,16 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
                           const CanonicalOptions& options) {
   const std::int32_t n = ts.size();
   const std::int32_t m = platform.processors();
-
-  std::vector<CanonicalTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(n));
   const bool heterogeneous = !platform.is_identical() && platform.rate_rows() > 0;
+
+  std::vector<CanonicalTask> tasks(static_cast<std::size_t>(n));
   for (rt::TaskId i = 0; i < n; ++i) {
-    CanonicalTask t;
-    t.params = ts[i].params;
-    if (heterogeneous) {
-      t.row.reserve(static_cast<std::size_t>(m));
-      for (rt::ProcId j = 0; j < m; ++j) t.row.push_back(platform.rate(i, j));
-    }
-    tasks.push_back(std::move(t));
+    tasks[static_cast<std::size_t>(i)] = CanonicalTask{ts[i].params, i};
   }
 
   // gcd scaling: identical platforms only (the flow-condition argument in
   // the header does not cover rate matrices).  gcd(0, x) == x, so zero
-  // offsets do not pin g at 1.
+  // offsets do not pin g at 1; once g is 1 it stays 1.
   if (options.scaling && platform.is_identical()) {
     rt::Time g = 0;
     for (const CanonicalTask& t : tasks) {
@@ -65,6 +57,7 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
       g = std::gcd(g, t.params.wcet);
       g = std::gcd(g, t.params.deadline);
       g = std::gcd(g, t.params.period);
+      if (g == 1) break;
     }
     if (g > 1) {
       for (CanonicalTask& t : tasks) {
@@ -76,13 +69,31 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
     }
   }
 
-  if (options.permutation) std::sort(tasks.begin(), tasks.end());
+  // Parameters first, then (heterogeneous platforms only) the rate rows.
+  if (options.permutation) {
+    std::sort(tasks.begin(), tasks.end(),
+              [&](const CanonicalTask& a, const CanonicalTask& b) {
+                if (const auto order = compare_params(a.params, b.params);
+                    order != 0) {
+                  return order < 0;
+                }
+                for (rt::ProcId j = 0; heterogeneous && j < m; ++j) {
+                  const rt::Rate x = platform.rate(a.source, j);
+                  const rt::Rate y = platform.rate(b.source, j);
+                  if (x != y) return x < y;
+                }
+                return false;
+              });
+  }
 
-  std::string key = "v1|";
+  std::string key;
+  key.reserve(32 + 16 * tasks.size());
+  key += "v1|";
   key += ts.is_constrained() ? "c|" : "a|";
 
   if (platform.is_identical()) {
-    key += "id:" + std::to_string(m);
+    key += "id:";
+    append_int(key, m);
   } else if (platform.rate_rows() == 0) {
     // Uniform platform: a speed per processor, task-independent, so the
     // speed *multiset* is the canonical form.
@@ -95,21 +106,29 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
     key += "un:";
     for (std::size_t j = 0; j < speeds.size(); ++j) {
       if (j != 0) key += ',';
-      key += std::to_string(speeds[j]);
+      append_int(key, speeds[j]);
     }
   } else {
     // Heterogeneous: rate rows are serialized inline with their tasks
     // below; here only the column count.
-    key += "he:" + std::to_string(m);
+    key += "he:";
+    append_int(key, m);
   }
 
   key += '|';
   for (std::size_t k = 0; k < tasks.size(); ++k) {
     if (k != 0) key += ';';
-    append_params(key, tasks[k].params);
-    for (const rt::Rate rate : tasks[k].row) {
+    const rt::TaskParams& p = tasks[k].params;
+    append_int(key, p.offset);
+    key += ',';
+    append_int(key, p.wcet);
+    key += ',';
+    append_int(key, p.deadline);
+    key += ',';
+    append_int(key, p.period);
+    for (rt::ProcId j = 0; heterogeneous && j < m; ++j) {
       key += ':';
-      key += std::to_string(rate);
+      append_int(key, platform.rate(tasks[k].source, j));
     }
   }
   return key;

@@ -1,7 +1,11 @@
 #include "core/instance_io.hpp"
 
+#include <array>
+#include <charconv>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -15,56 +19,99 @@ namespace {
   throw ParseError("instance line " + std::to_string(line) + ": " + message);
 }
 
-/// Reads the next content line (skipping blanks/comments); returns false at
-/// end of stream.
-bool next_line(std::istream& in, std::string& out, int& line_no) {
-  std::string raw;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto first = raw.find_first_not_of(" \t\r");
-    if (first == std::string::npos || raw[first] == '#') continue;
-    const auto last = raw.find_last_not_of(" \t\r");
-    out = raw.substr(first, last - first + 1);
-    return true;
-  }
-  return false;
+[[noreturn]] void fail_token(int line, std::string_view what,
+                             std::string_view token, const char* why) {
+  fail(line, std::string(what) + ": '" + std::string(token) + "' " + why);
 }
 
-/// Parses one strictly-integer token: rejects floats ("1.5"), NaN/inf
-/// spellings, hex/octal surprises, and values that do not fit std::int64_t
-/// — istream extraction would accept or truncate several of those.  Every
-/// path out is a value or a ParseError.
-std::int64_t parse_int_token(int line, const std::string& token,
-                             const std::string& what) {
+/// The bytes a content line is trimmed of.
+constexpr bool is_trim(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// The C locale's six whitespace bytes (' ', '\t', '\n', '\v', '\f',
+/// '\r'): tokens split where istream extraction splits them.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// The content lines of an instance text: split on '\n' (the last line
+/// needs no terminator), trimmed of " \t\r", blank and '#' lines skipped.
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : rest_(text) {}
+
+  /// The next content line; false at the end of the text.
+  bool next(std::string_view& line) {
+    while (!rest_.empty()) {
+      const std::size_t eol = rest_.find('\n');
+      const std::string_view raw = rest_.substr(0, eol);
+      rest_.remove_prefix(eol == std::string_view::npos ? rest_.size()
+                                                        : eol + 1);
+      ++number_;
+      std::size_t first = 0;
+      while (first < raw.size() && is_trim(raw[first])) ++first;
+      if (first == raw.size() || raw[first] == '#') continue;
+      std::size_t last = raw.size();
+      while (is_trim(raw[last - 1])) --last;
+      line = raw.substr(first, last - first);
+      return true;
+    }
+    return false;
+  }
+
+  /// 1-based number of the last line read, content or not.
+  [[nodiscard]] int number() const noexcept { return number_; }
+
+ private:
+  std::string_view rest_;
+  int number_ = 0;
+};
+
+/// Cuts the next token off the front of `rest`; empty when none is left.
+std::string_view next_token(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+/// Stores the first `out.size()` tokens of `line` in `out`; returns how
+/// many tokens the line holds.
+std::size_t split(std::string_view line, std::span<std::string_view> out) {
+  std::size_t count = 0;
+  for (std::string_view token = next_token(line); !token.empty();
+       token = next_token(line)) {
+    if (count < out.size()) out[count] = token;
+    ++count;
+  }
+  return count;
+}
+
+/// Parses one strictly-integer token: an optional sign, then decimal
+/// digits only.  Rejects floats ("1.5"), NaN/inf spellings, hex/octal
+/// surprises, and values that do not fit std::int64_t.  Every path out is
+/// a value or a ParseError.
+std::int64_t parse_int_token(int line, std::string_view token,
+                             std::string_view what) {
   std::size_t at = 0;
   if (at < token.size() && (token[at] == '+' || token[at] == '-')) ++at;
-  if (at >= token.size()) fail(line, what + ": '" + token + "' is not a number");
+  if (at >= token.size()) fail_token(line, what, token, "is not a number");
   for (std::size_t i = at; i < token.size(); ++i) {
     if (token[i] < '0' || token[i] > '9') {
-      fail(line, what + ": '" + token + "' is not a plain integer");
+      fail_token(line, what, token, "is not a plain integer");
     }
   }
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(token, &used);
-    if (used != token.size()) {
-      fail(line, what + ": trailing characters in '" + token + "'");
-    }
-    return value;
-  } catch (const std::out_of_range&) {
-    fail(line, what + ": '" + token + "' does not fit a 64-bit integer");
-  } catch (const std::invalid_argument&) {
-    fail(line, what + ": '" + token + "' is not a number");
+  // from_chars takes a leading '-' but not a '+'.
+  const char* first = token.data() + (token[0] == '+' ? 1 : 0);
+  std::int64_t value = 0;
+  if (std::from_chars(first, token.data() + token.size(), value).ec !=
+      std::errc()) {
+    fail_token(line, what, token, "does not fit a 64-bit integer");
   }
-}
-
-/// Splits a content line into whitespace-separated tokens.
-std::vector<std::string> tokens_of(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream ss(text);
-  std::string token;
-  while (ss >> token) tokens.push_back(std::move(token));
-  return tokens;
+  return value;
 }
 
 /// Magnitude cap on task parameters and rates.  Far above any meaningful
@@ -84,107 +131,128 @@ constexpr std::int64_t kMaxRateEntries = 4'000'000;
 }  // namespace
 
 InstanceFile read_instance(std::istream& in) {
-  int line_no = 0;
-  std::string line;
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  return read_instance_string(text);
+}
 
-  auto expect_keyword_value = [&](const std::string& text,
-                                  const std::string& keyword) {
-    const auto tokens = tokens_of(text);
-    if (tokens.size() != 2 || tokens[0] != keyword) {
-      fail(line_no, "expected '" + keyword + " <value>', got '" + text + "'");
+InstanceFile read_instance_string(std::string_view text) {
+  Lines lines(text);
+  std::string_view line;
+
+  const auto expect_keyword_value = [&](std::string_view keyword) {
+    std::array<std::string_view, 2> tokens;
+    if (split(line, tokens) != 2 || tokens[0] != keyword) {
+      fail(lines.number(), "expected '" + std::string(keyword) +
+                               " <value>', got '" + std::string(line) + "'");
     }
-    return parse_int_token(line_no, tokens[1], keyword);
+    return parse_int_token(lines.number(), tokens[1], keyword);
   };
 
-  if (!next_line(in, line, line_no)) fail(line_no, "empty instance");
-  const auto n = expect_keyword_value(line, "tasks");
+  if (!lines.next(line)) fail(lines.number(), "empty instance");
+  const auto n = expect_keyword_value("tasks");
   if (n < 1 || n > kMaxTasks) {
-    fail(line_no, "task count must be in [1, " + std::to_string(kMaxTasks) +
-                      "], got " + std::to_string(n));
+    fail(lines.number(), "task count must be in [1, " +
+                             std::to_string(kMaxTasks) + "], got " +
+                             std::to_string(n));
   }
 
-  std::vector<rt::TaskParams> params;
-  params.reserve(static_cast<std::size_t>(n));
+  std::vector<rt::Task> tasks;
+  tasks.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    if (!next_line(in, line, line_no)) fail(line_no, "missing task line");
-    const auto tokens = tokens_of(line);
-    if (tokens.size() != 4) {
-      fail(line_no, "expected 'O C D T', got '" + line + "'");
+    if (!lines.next(line)) fail(lines.number(), "missing task line");
+    std::array<std::string_view, 4> tokens;
+    if (split(line, tokens) != 4) {
+      fail(lines.number(), "expected 'O C D T', got '" + std::string(line) +
+                               "'");
     }
     rt::TaskParams p;
-    p.offset = parse_int_token(line_no, tokens[0], "offset");
-    p.wcet = parse_int_token(line_no, tokens[1], "WCET");
-    p.deadline = parse_int_token(line_no, tokens[2], "deadline");
-    p.period = parse_int_token(line_no, tokens[3], "period");
+    p.offset = parse_int_token(lines.number(), tokens[0], "offset");
+    p.wcet = parse_int_token(lines.number(), tokens[1], "WCET");
+    p.deadline = parse_int_token(lines.number(), tokens[2], "deadline");
+    p.period = parse_int_token(lines.number(), tokens[3], "period");
     for (const std::int64_t v : {p.offset, p.wcet, p.deadline, p.period}) {
       if (v < -kMaxMagnitude || v > kMaxMagnitude) {
-        fail(line_no, "task parameter " + std::to_string(v) +
-                          " exceeds the 1e15 magnitude cap");
+        fail(lines.number(), "task parameter " + std::to_string(v) +
+                                 " exceeds the 1e15 magnitude cap");
       }
     }
-    params.push_back(p);
+    tasks.push_back(rt::Task{p, {}});
   }
 
-  if (!next_line(in, line, line_no)) fail(line_no, "missing 'processors'");
-  const auto m = expect_keyword_value(line, "processors");
+  if (!lines.next(line)) fail(lines.number(), "missing 'processors'");
+  const auto m = expect_keyword_value("processors");
   if (m < 1 || m > kMaxProcessors) {
-    fail(line_no, "processor count must be in [1, " +
-                      std::to_string(kMaxProcessors) + "], got " +
-                      std::to_string(m));
+    fail(lines.number(), "processor count must be in [1, " +
+                             std::to_string(kMaxProcessors) + "], got " +
+                             std::to_string(m));
   }
 
   rt::DeadlineModel model = rt::DeadlineModel::kConstrained;
   bool have_rates = false;
   std::vector<std::vector<rt::Rate>> rates;
 
-  while (next_line(in, line, line_no)) {
-    const auto tokens = tokens_of(line);
-    const std::string& word = tokens.front();
-    if (word == "deadline-model") {
-      if (tokens.size() != 2) {
-        fail(line_no, "expected 'deadline-model <value>', got '" + line + "'");
+  while (lines.next(line)) {
+    std::array<std::string_view, 2> tokens;
+    const std::size_t count = split(line, tokens);
+    // The trim keeps a lone '\v' or '\f', which holds no token.
+    if (count == 0) {
+      fail(lines.number(), "expected a directive, got '" + std::string(line) +
+                               "'");
+    }
+    if (tokens[0] == "deadline-model") {
+      if (count != 2) {
+        fail(lines.number(), "expected 'deadline-model <value>', got '" +
+                                 std::string(line) + "'");
       }
       if (tokens[1] == "constrained") {
         model = rt::DeadlineModel::kConstrained;
       } else if (tokens[1] == "arbitrary") {
         model = rt::DeadlineModel::kArbitrary;
       } else {
-        fail(line_no, "unknown deadline-model '" + tokens[1] + "'");
+        fail(lines.number(),
+             "unknown deadline-model '" + std::string(tokens[1]) + "'");
       }
-    } else if (word == "rates") {
-      if (tokens.size() != 1) {
-        fail(line_no, "'rates' takes no argument, got '" + line + "'");
+    } else if (tokens[0] == "rates") {
+      if (count != 1) {
+        fail(lines.number(),
+             "'rates' takes no argument, got '" + std::string(line) + "'");
       }
-      if (have_rates) fail(line_no, "duplicate 'rates' block");
+      if (have_rates) fail(lines.number(), "duplicate 'rates' block");
       have_rates = true;
       if (n * m > kMaxRateEntries) {
-        fail(line_no, "rates block of " + std::to_string(n) + "x" +
-                          std::to_string(m) + " exceeds the " +
-                          std::to_string(kMaxRateEntries) + "-entry cap");
+        fail(lines.number(), "rates block of " + std::to_string(n) + "x" +
+                                 std::to_string(m) + " exceeds the " +
+                                 std::to_string(kMaxRateEntries) +
+                                 "-entry cap");
       }
       rates.reserve(static_cast<std::size_t>(n));
       for (std::int64_t i = 0; i < n; ++i) {
-        if (!next_line(in, line, line_no)) fail(line_no, "missing rate row");
-        const auto row_tokens = tokens_of(line);
-        if (static_cast<std::int64_t>(row_tokens.size()) != m) {
-          fail(line_no, "expected " + std::to_string(m) +
-                            " rates in the row, got " +
-                            std::to_string(row_tokens.size()));
+        if (!lines.next(line)) fail(lines.number(), "missing rate row");
+        const std::size_t row_count = split(line, {});
+        if (static_cast<std::int64_t>(row_count) != m) {
+          fail(lines.number(), "expected " + std::to_string(m) +
+                                   " rates in the row, got " +
+                                   std::to_string(row_count));
         }
-        std::vector<rt::Rate> r;
-        r.reserve(static_cast<std::size_t>(m));
-        for (const std::string& token : row_tokens) {
-          const std::int64_t s = parse_int_token(line_no, token, "rate");
+        std::vector<rt::Rate> row;
+        row.reserve(static_cast<std::size_t>(m));
+        for (std::string_view token = next_token(line); !token.empty();
+             token = next_token(line)) {
+          const std::int64_t s =
+              parse_int_token(lines.number(), token, "rate");
           // rt::Rate is 32-bit; the cap keeps the cast exact.
           if (s < 0 || s > 1'000'000'000) {
-            fail(line_no, "rate " + token + " out of range [0, 1e9]");
+            fail(lines.number(), "rate " + std::string(token) +
+                                     " out of range [0, 1e9]");
           }
-          r.push_back(static_cast<rt::Rate>(s));
+          row.push_back(static_cast<rt::Rate>(s));
         }
-        rates.push_back(std::move(r));
+        rates.push_back(std::move(row));
       }
     } else {
-      fail(line_no, "unknown directive '" + word + "'");
+      fail(lines.number(),
+           "unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
 
@@ -193,18 +261,13 @@ InstanceFile read_instance(std::istream& in) {
   // the input.
   try {
     InstanceFile file{
-        rt::TaskSet::from_params(params, model),
+        rt::TaskSet(std::move(tasks), model),
         have_rates ? rt::Platform::heterogeneous(std::move(rates))
                    : rt::Platform::identical(static_cast<std::int32_t>(m))};
     return file;
   } catch (const OverflowError& e) {
     throw ValidationError(e.what());
   }
-}
-
-InstanceFile read_instance_string(const std::string& text) {
-  std::istringstream in(text);
-  return read_instance(in);
 }
 
 void write_instance(std::ostream& out, const rt::TaskSet& ts,

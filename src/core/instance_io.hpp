@@ -15,10 +15,23 @@
 //     0 1
 //
 // Without a `rates` block the platform is identical.
+//
+// Lines split on '\n' (the last needs no terminator) and are trimmed of
+// ' ', '\t' and '\r'; blank lines and lines starting with '#' are skipped.
+// Within a line, tokens split on the C locale's six whitespace bytes
+// (' ', '\t', '\n', '\v', '\f', '\r'), so a line holding only '\v' or
+// '\f' is a content line with no token, and an error wherever it appears.
+// Integers are an optional sign and decimal digits, nothing else.
+//
+// Caps, each checked before the allocation it guards, so a hostile header
+// cannot buy an allocation beyond them: task and processor counts in
+// [1, 100000], task parameters within +-1e15, rates in [0, 1e9], and at
+// most 4,000,000 entries in the rates block.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "rt/platform.hpp"
 #include "rt/task_set.hpp"
@@ -30,10 +43,13 @@ struct InstanceFile {
   rt::Platform platform = rt::Platform::identical(1);
 };
 
-/// Parses the format above; throws ParseError with a line reference on
-/// malformed input and ValidationError when the parsed system is invalid.
+/// Parses the format above in one pass over the bytes; throws ParseError
+/// with a line reference on malformed input and ValidationError when the
+/// parsed system is invalid.
+[[nodiscard]] InstanceFile read_instance_string(std::string_view text);
+
+/// Reads the whole stream first, then parses it as read_instance_string.
 [[nodiscard]] InstanceFile read_instance(std::istream& in);
-[[nodiscard]] InstanceFile read_instance_string(const std::string& text);
 
 /// Serializes an instance in the same format (round-trips through read).
 void write_instance(std::ostream& out, const rt::TaskSet& ts,

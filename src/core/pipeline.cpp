@@ -81,8 +81,9 @@ class FlowOracleStage final : public Stage {
       out.detail = "max-flow " + std::to_string(oracle.flow) + " of demand " +
                    std::to_string(oracle.demand);
     } catch (const ResourceError& e) {
-      // The job table blew its memory budget (or an injected fault shadowed
-      // that guard).  The analysis stage defers feasible answers to us
+      // The oracle's size guard refused the network before allocating it
+      // (more than 50M forward arcs), or an injected fault shadowed that
+      // guard.  The analysis stage defers feasible answers to us
       // (necessary-only mode), so re-derive the sufficient density proof
       // here — sound, witness-less, and far better than regressing an
       // already-provable instance to full search.

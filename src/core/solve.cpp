@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <new>
@@ -462,7 +463,11 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // the race continues with the survivors.  Queued-but-unstarted lanes
   // (oversubscription) and lanes still building their model (no beat yet)
   // are never culled — only a heartbeat that went quiet counts as stuck.
-  std::atomic<bool> race_done{false};
+  // It waits out each interval on a condition variable, so the end of the
+  // race wakes it at once: the join below never waits for the next tick.
+  std::mutex race_mutex;
+  std::condition_variable race_wake;
+  bool race_done = false;
   std::thread watchdog;
   const std::int64_t stall_ms = config.portfolio.watchdog_stall_ms;
   if (stall_ms > 0 && n_lanes > 0) {
@@ -472,8 +477,8 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
           std::clamp<std::int64_t>(stall_ms / 4, 5, 250));
       std::vector<std::uint64_t> last_beat(n_lanes, 0);
       std::vector<Clock::time_point> last_change(n_lanes, Clock::now());
-      while (!race_done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(poll);
+      std::unique_lock<std::mutex> lock(race_mutex);
+      while (!race_wake.wait_for(lock, poll, [&] { return race_done; })) {
         const auto now = Clock::now();
         for (std::size_t k = 0; k < n_lanes; ++k) {
           if (finished[k].load(std::memory_order_acquire) ||
@@ -533,7 +538,11 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
     }
     finished[k].store(true, std::memory_order_release);
   });
-  race_done.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(race_mutex);
+    race_done = true;
+  }
+  race_wake.notify_one();
   if (watchdog.joinable()) watchdog.join();
 
   out.lanes.reserve(n_lanes);

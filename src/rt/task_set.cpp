@@ -1,6 +1,8 @@
 #include "rt/task_set.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <string>
 
 #include "support/assert.hpp"
@@ -12,41 +14,48 @@ using support::Rational;
 
 namespace {
 
+/// Throws the ValidationError for a broken rule, labelled "task #k
+/// (name)"; the label is built only here, never for a valid task.
+[[noreturn]] void reject(const Task& task, std::size_t index,
+                         const std::string& rule) {
+  throw ValidationError("task #" + std::to_string(index + 1) +
+                        (task.name.empty() ? "" : " (" + task.name + ")") +
+                        ": " + rule);
+}
+
 void validate_task(const Task& task, std::size_t index, DeadlineModel model) {
   const auto& p = task.params;
-  const std::string who = "task #" + std::to_string(index + 1) +
-                          (task.name.empty() ? "" : " (" + task.name + ")");
   if (p.period < 1) {
-    throw ValidationError(who + ": period must be >= 1, got " +
-                          std::to_string(p.period));
+    reject(task, index,
+           "period must be >= 1, got " + std::to_string(p.period));
   }
   if (p.wcet < 1) {
-    throw ValidationError(who + ": WCET must be >= 1, got " +
-                          std::to_string(p.wcet));
+    reject(task, index, "WCET must be >= 1, got " + std::to_string(p.wcet));
   }
   if (p.deadline < 1) {
-    throw ValidationError(who + ": deadline must be >= 1, got " +
-                          std::to_string(p.deadline));
+    reject(task, index,
+           "deadline must be >= 1, got " + std::to_string(p.deadline));
   }
   // Note: C > D is permitted — on heterogeneous platforms a rate-s
   // processor completes s units per slot, so C units can fit into fewer
   // than C slots.  On identical platforms such a task simply renders the
   // system infeasible, which every solver detects.
   if (p.offset < 0 || p.offset >= p.period) {
-    throw ValidationError(who + ": offset must satisfy 0 <= O < T, got O=" +
-                          std::to_string(p.offset) +
-                          " T=" + std::to_string(p.period));
+    reject(task, index,
+           "offset must satisfy 0 <= O < T, got O=" +
+               std::to_string(p.offset) + " T=" + std::to_string(p.period));
   }
   if (model == DeadlineModel::kConstrained && p.deadline > p.period) {
-    throw ValidationError(who + ": constrained-deadline model requires D <= T"
-                          ", got D=" + std::to_string(p.deadline) +
-                          " T=" + std::to_string(p.period));
+    reject(task, index,
+           "constrained-deadline model requires D <= T, got D=" +
+               std::to_string(p.deadline) + " T=" + std::to_string(p.period));
   }
 }
 
 Time compute_hyperperiod(const std::vector<Task>& tasks) {
   Time lcm = 1;
   for (const auto& task : tasks) {
+    if (lcm % task.period() == 0) continue;  // lcm(L, T) = L when T | L
     const auto next = support::checked_lcm(lcm, task.period());
     if (!next) {
       throw OverflowError("hyperperiod lcm(T_1..T_n) overflows 64-bit range");
@@ -61,8 +70,11 @@ Time compute_hyperperiod(const std::vector<Task>& tasks) {
 TaskSet::TaskSet(std::vector<Task> tasks, DeadlineModel model)
     : tasks_(std::move(tasks)), model_(model) {
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].name.empty()) {
-      tasks_[i].name = "tau" + std::to_string(i + 1);
+    if (tasks_[i].name.empty()) {  // "tau<i+1>", without temporaries
+      std::array<char, 24> name = {'t', 'a', 'u'};
+      char* const end =
+          std::to_chars(name.data() + 3, name.data() + name.size(), i + 1).ptr;
+      tasks_[i].name.assign(name.data(), end);
     }
     validate_task(tasks_[i], i, model_);
   }

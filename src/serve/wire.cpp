@@ -103,16 +103,15 @@ void send_frame(const support::Fd& fd, const std::string& payload) {
                         std::to_string(payload.size()) + " bytes");
   }
   const auto size = static_cast<std::uint32_t>(payload.size());
-  const std::array<unsigned char, 4> prefix = {
-      static_cast<unsigned char>(size >> 24),
-      static_cast<unsigned char>(size >> 16),
-      static_cast<unsigned char>(size >> 8),
-      static_cast<unsigned char>(size),
+  const std::array<char, 4> prefix = {
+      static_cast<char>(size >> 24),
+      static_cast<char>(size >> 16),
+      static_cast<char>(size >> 8),
+      static_cast<char>(size),
   };
-  support::write_all(fd, prefix.data(), prefix.size());
-  if (!payload.empty()) {
-    support::write_all(fd, payload.data(), payload.size());
-  }
+  // Prefix and payload leave in one system call.
+  support::write_all(fd, std::string_view(prefix.data(), prefix.size()),
+                     payload);
 }
 
 bool recv_frame(const support::Fd& fd, std::string& payload,

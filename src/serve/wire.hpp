@@ -100,8 +100,10 @@ struct Message {
 
 // ---------------------------------------------------------------- framing
 
-/// Sends `payload` as one frame.  Throws support::SocketError on transport
-/// failure and ProtocolError when payload exceeds kMaxFrameBytes.
+/// Sends `payload` as one frame: the length prefix and the payload leave
+/// in one gathered write, without copying the payload.  Throws
+/// support::SocketError on transport failure and ProtocolError when
+/// payload exceeds kMaxFrameBytes.
 void send_frame(const support::Fd& fd, const std::string& payload);
 
 /// Receives one frame into `payload`.  Returns false on clean EOF before a

@@ -1,10 +1,13 @@
 #include "support/socket.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -100,12 +103,11 @@ bool read_exact(const Fd& fd, void* data, std::size_t size,
                 std::int64_t timeout_ms) {
   auto* bytes = static_cast<char*>(data);
   std::size_t done = 0;
+  // With a timeout, bytes already queued are taken without a poll; only
+  // an empty queue (EAGAIN) waits, and each wait is bounded.
+  const int flags = timeout_ms >= 0 ? MSG_DONTWAIT : 0;
   while (done < size) {
-    if (timeout_ms >= 0 && !wait_readable(fd.get(), timeout_ms)) {
-      throw SocketError("read timed out after " + std::to_string(timeout_ms) +
-                        "ms");
-    }
-    const ssize_t rc = ::recv(fd.get(), bytes + done, size - done, 0);
+    const ssize_t rc = ::recv(fd.get(), bytes + done, size - done, flags);
     if (rc > 0) {
       done += static_cast<std::size_t>(rc);
       continue;
@@ -115,23 +117,46 @@ bool read_exact(const Fd& fd, void* data, std::size_t size,
       throw SocketError("peer closed mid-message (" + std::to_string(done) +
                         "/" + std::to_string(size) + " bytes)");
     }
-    if (errno != EINTR) fail("recv");
+    if (errno == EINTR) continue;
+    if (flags != 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (!wait_readable(fd.get(), timeout_ms)) {
+        throw SocketError("read timed out after " +
+                          std::to_string(timeout_ms) + "ms");
+      }
+      continue;
+    }
+    fail("recv");
   }
   return true;
 }
 
-void write_all(const Fd& fd, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t rc =
-        ::send(fd.get(), bytes + done, size - done, MSG_NOSIGNAL);
-    if (rc > 0) {
-      done += static_cast<std::size_t>(rc);
+void write_all(const Fd& fd, std::string_view head, std::string_view tail) {
+  std::array<iovec, 2> parts = {
+      iovec{const_cast<char*>(head.data()), head.size()},
+      iovec{const_cast<char*>(tail.data()), tail.size()},
+  };
+  std::size_t first = 0;  // the first part with bytes left to send
+  while (first < parts.size()) {
+    if (parts[first].iov_len == 0) {
+      ++first;
       continue;
     }
-    if (rc < 0 && errno == EINTR) continue;
-    fail("send");
+    msghdr message{};
+    message.msg_iov = parts.data() + first;
+    message.msg_iovlen = parts.size() - first;
+    const ssize_t rc = ::sendmsg(fd.get(), &message, MSG_NOSIGNAL);
+    if (rc <= 0) {
+      if (rc < 0 && errno == EINTR) continue;
+      fail("send");
+    }
+    // A partial write: step past what went out.
+    for (auto sent = static_cast<std::size_t>(rc); sent > 0;) {
+      const std::size_t step = std::min(sent, parts[first].iov_len);
+      parts[first].iov_base = static_cast<char*>(parts[first].iov_base) + step;
+      parts[first].iov_len -= step;
+      sent -= step;
+      if (parts[first].iov_len == 0) ++first;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "support/error.hpp"
 
@@ -83,13 +84,17 @@ class Fd {
 
 /// Reads exactly `size` bytes.  Returns false on a clean EOF *before the
 /// first byte* (peer closed between messages); throws SocketError on a
-/// short read mid-buffer, a poll timeout (`timeout_ms` per chunk, -1 =
-/// no timeout), or a transport error.
+/// short read mid-buffer, a poll timeout (`timeout_ms` per wait for bytes,
+/// -1 = no timeout), or a transport error.  With a timeout, bytes already
+/// queued are read without a poll; poll(2) runs only when none are.
 [[nodiscard]] bool read_exact(const Fd& fd, void* data, std::size_t size,
                               std::int64_t timeout_ms = -1);
 
-/// Writes all of `size` bytes or throws SocketError.  SIGPIPE-safe
-/// (MSG_NOSIGNAL): a vanished peer is an exception, not a process kill.
-void write_all(const Fd& fd, const void* data, std::size_t size);
+/// Writes all of `head`, then all of `tail`, or throws SocketError.  One
+/// gathered sendmsg(2) carries both (another only after a partial write),
+/// and neither buffer is copied.  SIGPIPE-safe (MSG_NOSIGNAL): a vanished
+/// peer is an exception, not a process kill.
+void write_all(const Fd& fd, std::string_view head,
+               std::string_view tail = {});
 
 }  // namespace mgrts::support

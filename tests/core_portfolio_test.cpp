@@ -3,6 +3,8 @@
 // Method::kPortfolio plumbing through solve_instance / the harness.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/solve.hpp"
 #include "exp/harness.hpp"
 #include "rt/validate.hpp"
@@ -122,6 +124,28 @@ TEST(Portfolio, PresolveDecidesBeforeAnyLaneLaunches) {
   EXPECT_TRUE(race.report.witness_valid);
   ASSERT_FALSE(race.presolve.empty());
   EXPECT_EQ(race.presolve.back().stage, "flow-oracle");
+}
+
+// The race ends with its winner.  The watchdog ticks every
+// watchdog_stall_ms / 4 = 250 ms by default; the end of the race must wake
+// it instead of waiting out the tick.  The presolve stages are
+// identical-only, so on this heterogeneous platform the lanes launch, and
+// one decides in well under a millisecond.
+TEST(Portfolio, RaceReturnsPromptlyAfterItsWinner) {
+  SolveConfig config;
+  config.time_limit_ms = 5'000;
+  ASSERT_EQ(config.portfolio.watchdog_stall_ms, 1'000);
+  const rt::TaskSet ts =
+      rt::TaskSet::from_params({{0, 1, 2, 2}, {0, 1, 2, 2}, {0, 2, 3, 3}});
+  const Platform platform = Platform::heterogeneous({{1, 1}, {1, 1}, {1, 2}});
+  const auto start = std::chrono::steady_clock::now();
+  const PortfolioReport race = solve_portfolio(ts, platform, config);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(race.lanes.empty());
+  ASSERT_GE(race.winner, 0);
+  EXPECT_LT(wall_ms, 100.0);
 }
 
 TEST(Portfolio, ReachableAsAMethodThroughSolveInstance) {

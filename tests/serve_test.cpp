@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/canonical.hpp"
@@ -104,12 +106,11 @@ struct WirePair {
   }
   /// Writes a big-endian length prefix declaring `declared` payload bytes.
   void write_prefix(std::uint32_t declared) {
-    const unsigned char prefix[4] = {
-        static_cast<unsigned char>((declared >> 24) & 0xff),
-        static_cast<unsigned char>((declared >> 16) & 0xff),
-        static_cast<unsigned char>((declared >> 8) & 0xff),
-        static_cast<unsigned char>(declared & 0xff)};
-    support::write_all(ours, prefix, 4);
+    const char prefix[4] = {static_cast<char>((declared >> 24) & 0xff),
+                            static_cast<char>((declared >> 16) & 0xff),
+                            static_cast<char>((declared >> 8) & 0xff),
+                            static_cast<char>(declared & 0xff)};
+    support::write_all(ours, std::string_view(prefix, 4));
   }
 };
 
@@ -126,7 +127,7 @@ TEST(Wire, TruncatedFrameNoBodyAtAllIsProtocolError) {
 TEST(Wire, TruncatedFramePartialBodyIsProtocolError) {
   WirePair pair;
   pair.write_prefix(64);
-  support::write_all(pair.ours, "mgrts/1 ping\n", 13);  // 13 of 64, then EOF
+  support::write_all(pair.ours, "mgrts/1 ping\n");  // 13 of 64, then EOF
   pair.ours.close();
   std::string payload;
   EXPECT_THROW((void)recv_frame(pair.theirs, payload, 5'000), ProtocolError);
@@ -159,7 +160,7 @@ TEST(Wire, EveryPrefixOfARealFrameTruncatesCleanly) {
        {std::size_t{1}, wire.size() / 2, wire.size() - 1}) {
     WirePair pair;
     pair.write_prefix(static_cast<std::uint32_t>(wire.size()));
-    support::write_all(pair.ours, wire.data(), keep);
+    support::write_all(pair.ours, std::string_view(wire).substr(0, keep));
     pair.ours.close();
     std::string payload;
     EXPECT_THROW((void)recv_frame(pair.theirs, payload, 5'000), ProtocolError)
@@ -189,6 +190,39 @@ TEST(Wire, ZeroLengthAndValidFramesStillFlow) {
   EXPECT_TRUE(payload.empty());
   ASSERT_TRUE(recv_frame(pair.theirs, payload, 5'000));
   EXPECT_EQ(parse_message(payload).kind, "ping");
+}
+
+// A frame far larger than the socket buffer: the prefix and the payload
+// leave as one gathered write that blocks until the reader drains it, and
+// arrive intact and in order, back to back with a small frame.
+TEST(Wire, LargeFramesArriveIntact) {
+  WirePair pair;
+  std::string big(4u << 20, '\0');
+  for (std::size_t k = 0; k < big.size(); ++k) {
+    big[k] = static_cast<char>((k * 131) >> 7);
+  }
+  std::thread writer([&] {
+    try {
+      send_frame(pair.ours, big);
+      send_frame(pair.ours, "tail");
+    } catch (const std::exception&) {
+      // Only after a failed read below, which reports it.
+    }
+  });
+  std::string payload, tail;
+  bool first = false, second = false;
+  try {
+    first = recv_frame(pair.theirs, payload, 5'000);
+    second = recv_frame(pair.theirs, tail, 5'000);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  pair.theirs.shutdown();  // unblocks the writer if a read failed
+  writer.join();
+  EXPECT_TRUE(first);
+  EXPECT_TRUE(payload == big) << "payload of " << payload.size() << " bytes";
+  EXPECT_TRUE(second);
+  EXPECT_EQ(tail, "tail");
 }
 
 TEST(Wire, VerdictAndCauseStringsRoundTrip) {
@@ -693,13 +727,39 @@ TEST(Daemon, GarbageBytesOnTheSocketGetARefusalNotACrash) {
     // A length prefix announcing far beyond kMaxFrameBytes: the server
     // must answer with a protocol refusal and drop the connection.
     support::Fd fd = support::connect_unix(options.socket_path);
-    const unsigned char huge[4] = {0xff, 0xff, 0xff, 0xff};
-    support::write_all(fd, huge, 4);
+    support::write_all(fd, "\xff\xff\xff\xff");
     std::string payload;
     EXPECT_TRUE(recv_frame(fd, payload, 5'000));
     const Message refusal = parse_message(payload);
     EXPECT_EQ(refusal.kind, "error");
     EXPECT_EQ(refusal.get("error-kind"), "protocol");
+  }
+  {
+    // The daemon is still alive and serving afterwards.
+    Client client(options.socket_path);
+    EXPECT_TRUE(client.ping());
+  }
+
+  server.stop();
+}
+
+// A body whose last line holds only '\v' once crashed the daemon: the
+// line trim kept the '\v', the tokenizer split it away, and the directive
+// loop read the first token of a line that had none.
+TEST(Daemon, WhitespaceOnlyDirectiveLineIsAParseRefusal) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("vtab");
+  options.workers = 2;
+  Server server(options);
+  server.start();
+
+  {
+    Client client(options.socket_path);
+    const SolveResult result =
+        client.solve("tasks 1\n0 1 2 2\nprocessors 1\n\v\n");
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error_kind, "parse");
+    EXPECT_EQ(result.verdict, core::Verdict::kUnknown);
   }
   {
     // The daemon is still alive and serving afterwards.

@@ -109,6 +109,38 @@ TEST(TaskSetValidation, ErrorMessagesIdentifyTask) {
   }
 }
 
+// The label is built only when a rule fails; every message is pinned here
+// in full, at a two-digit index and for a caller-given name.
+TEST(TaskSetValidation, ErrorMessagesAreExact) {
+  const auto message = [](std::vector<Task> tasks) {
+    try {
+      const TaskSet ts(std::move(tasks));
+      return std::string("accepted, last name ") + ts[ts.size() - 1].name;
+    } catch (const ValidationError& e) {
+      return std::string(e.what());
+    }
+  };
+  const auto eleven_then = [](TaskParams last) {
+    std::vector<Task> tasks(11, Task{{0, 1, 2, 2}, ""});
+    tasks.push_back(Task{last, ""});
+    return tasks;
+  };
+  EXPECT_EQ(message(eleven_then({0, 1, 2, 2})), "accepted, last name tau12");
+  EXPECT_EQ(message(eleven_then({0, 1, 2, 0})),
+            "task #12 (tau12): period must be >= 1, got 0");
+  EXPECT_EQ(message(eleven_then({0, 0, 2, 4})),
+            "task #12 (tau12): WCET must be >= 1, got 0");
+  EXPECT_EQ(message(eleven_then({0, 1, -5, 4})),
+            "task #12 (tau12): deadline must be >= 1, got -5");
+  EXPECT_EQ(message(eleven_then({5, 1, 2, 4})),
+            "task #12 (tau12): offset must satisfy 0 <= O < T, got O=5 T=4");
+  EXPECT_EQ(message(eleven_then({0, 1, 9, 4})),
+            "task #12 (tau12): constrained-deadline model requires D <= T, "
+            "got D=9 T=4");
+  EXPECT_EQ(message({Task{{0, 0, 2, 4}, "sensor"}}),
+            "task #1 (sensor): WCET must be >= 1, got 0");
+}
+
 // --------------------------------------------------------------- clones
 
 TEST(Clones, ConstrainedTasksPassThrough) {

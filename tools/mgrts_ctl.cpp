@@ -48,7 +48,9 @@ struct SmokeCase {
 // faults a *decided* verdict that contradicts them is a smoke failure, not
 // a degradation.  The hostile-size system has a ~9e8-slot hyperperiod: the
 // flow oracle's size guard must refuse it before allocating, and the
-// density fallback (2 <= m) decides it.
+// density fallback (2 <= m) decides it.  The blank-directive body ends in a
+// line holding only '\v', which the line trim keeps and the tokenizer
+// splits away: a parse refusal, never a dead daemon.
 constexpr SmokeCase kMix[] = {
     {"feasible", "tasks 2\n0 1 2 2\n0 1 2 2\nprocessors 2\n", -1, "ok",
      Verdict::kFeasible},
@@ -63,6 +65,8 @@ constexpr SmokeCase kMix[] = {
      "ok", Verdict::kFeasible},
     {"hostile-size", "tasks 2\n0 1 1 30011\n0 1 1 29989\nprocessors 2\n",
      -1, "ok", Verdict::kFeasible},
+    {"blank-directive", "tasks 1\n0 1 2 2\nprocessors 1\n\v\n", -1,
+     "error:parse", Verdict::kUnknown},
 };
 
 int run_smoke(const std::string& socket_path, std::int64_t count) {
