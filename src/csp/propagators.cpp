@@ -12,9 +12,47 @@ namespace {
 /// Sort key for SymmetryChain: idle compares as +infinity.
 constexpr std::int64_t kIdleKey = std::numeric_limits<std::int64_t>::max();
 
-// Mask membership/fixedness tests live in Domain64's word-scan kernel layer
-// (Domain64::mask_contains / mask_fixed / mask_le / mask_ge); the local
-// copies this file used to carry are gone.
+/// `idle`'s bit in `d`'s mask; 0 when `d` cannot hold idle.
+std::uint64_t idle_bit(const Domain64& d, Value idle) {
+  return d.contains(idle) ? std::uint64_t{1}
+                                << static_cast<unsigned>(idle - d.base())
+                          : 0;
+}
+
+// SymmetryChain's pair rule between neighbours a = position k and
+// b = position k+1:
+//   key(a) < key(b)  or  a == b == idle,
+// where key(idle) = +infinity.  The relation is monotone in key, so bounds
+// reasoning achieves arc consistency per pair: chain_kill_b, then
+// chain_kill_a on the narrowed b, repeated until chain_kill_a returns 0, is
+// the pair's local fixpoint (an unchanged a leaves b nothing more to lose).
+// The propagator (process_pair) and the build-time fixpoint
+// (SymmetryChain::root_fixpoint) both apply the rule through these two
+// functions.  Each kill set is a few mask operations (Domain64::mask_le and
+// mask_ge window-clamp exactly like a per-value scan), so applying it costs
+// O(removals), not O(|dom|).
+
+/// Values of b the rule excludes given dom(a): b's non-idle values must
+/// have key > a's smallest key (+infinity when a can only be idle).
+std::uint64_t chain_kill_b(const Domain64& a, const Domain64& b, Value idle) {
+  const std::uint64_t a_non_idle = a.raw_mask() & ~idle_bit(a, idle);
+  const std::int64_t a_min_key =
+      a_non_idle == 0 ? kIdleKey : a.base() + std::countr_zero(a_non_idle);
+  const std::uint64_t le =
+      a_min_key == kIdleKey
+          ? ~std::uint64_t{0}
+          : Domain64::mask_le(b.base(), static_cast<Value>(a_min_key));
+  return b.raw_mask() & le & ~idle_bit(b, idle);
+}
+
+/// Values of a the rule excludes given dom(b): when b cannot be idle, a
+/// cannot be idle either and its values must stay below b's largest
+/// (necessarily non-idle) value.
+std::uint64_t chain_kill_a(const Domain64& a, const Domain64& b, Value idle) {
+  if (b.contains(idle)) return 0;
+  return (a.raw_mask() & Domain64::mask_ge(a.base(), b.max())) |
+         idle_bit(a, idle);
+}
 }  // namespace
 
 // ---------------------------------------------------------------- AtMostOne
@@ -432,93 +470,63 @@ bool SymmetryChain::on_event(Solver& solver, std::int32_t pos,
 
 PropResult SymmetryChain::process_pair(Solver& solver, std::size_t k,
                                        bool& changed) {
-  // Pairwise rule between neighbours a = vars_[k], b = vars_[k+1]:
-  //   key(a) < key(b)  or  a == b == idle,
-  // where key(idle) = +infinity.  The relation is monotone in key, so
-  // bounds reasoning achieves arc consistency per pair; iterating until
-  // stable achieves the pair-local fixpoint.  Pruning candidates are
-  // gathered into a mask first because Domain64::for_each iterates a
-  // snapshot.  Every removal depends on the two pair domains only, so the
-  // reason narrows from the whole chain to the pair (DESIGN.md §10).
+  // Takes pair k to its local fixpoint under the pair rule (chain_kill_b /
+  // chain_kill_a).  Each kill set is computed before its removals because
+  // they narrow the domain it was read from.  Every removal depends on the
+  // two pair domains only, so the reason narrows from the whole chain to
+  // the pair (DESIGN.md §10).
   struct ReasonGuard {
     Solver& solver;
     ~ReasonGuard() { solver.end_explicit_reason(); }
   };
   solver.begin_explicit_reason(&vars_[k], 2);
   ReasonGuard guard{solver};
+  const VarId a = vars_[k];
+  const VarId b = vars_[k + 1];
+  auto remove_all = [&](VarId x, std::uint64_t kill) {
+    const Value base = solver.domain(x).base();
+    while (kill != 0) {
+      const Value v = base + std::countr_zero(kill);
+      kill &= kill - 1;
+      if (solver.remove(x, v) == PropResult::kFail) return false;
+    }
+    return true;
+  };
   for (;;) {
-    bool local = false;
-    const VarId a = vars_[k];
-    const VarId b = vars_[k + 1];
-
-    // Smallest key in dom(a): the smallest non-idle value, +inf if a can
-    // only be idle.
-    const Domain64& da = solver.domain(a);
-    std::uint64_t a_non_idle = da.raw_mask();
-    if (da.contains(idle_)) {
-      a_non_idle &= ~(std::uint64_t{1}
-                      << static_cast<unsigned>(idle_ - da.base()));
-    }
-    const std::int64_t a_min_key =
-        a_non_idle == 0 ? kIdleKey
-                        : da.base() + std::countr_zero(a_non_idle);
-
-    // Prune b: non-idle values must have key > a_min_key.  The kill set —
-    // values <= a_min_key, idle excluded — is two mask operations
-    // (Domain64::mask_le window-clamps exactly like the old per-value
-    // scan), so the sweep costs O(removals), not O(|dom|).
-    {
-      const Domain64& db = solver.domain(b);
-      std::uint64_t kill =
-          db.raw_mask() &
-          (a_min_key == kIdleKey
-               ? ~std::uint64_t{0}
-               : Domain64::mask_le(db.base(),
-                                   static_cast<Value>(a_min_key)));
-      if (db.contains(idle_)) {
-        kill &= ~(std::uint64_t{1}
-                  << static_cast<unsigned>(idle_ - db.base()));
-      }
-      const Value base = db.base();
-      while (kill != 0) {
-        const Value v = base + std::countr_zero(kill);
-        kill &= kill - 1;
-        if (solver.remove(b, v) == PropResult::kFail) {
-          return PropResult::kFail;
-        }
-        local = true;
-      }
-    }
-
-    // Prune a: if b cannot be idle, a cannot be idle and a's non-idle
-    // values must stay below b's largest (necessarily non-idle) value.
-    // Kill set: values >= b_max_key plus idle (key +inf) wherever it sits.
-    {
-      const Domain64& db = solver.domain(b);
-      if (!db.contains(idle_)) {
-        const Value b_max_key = db.max();
-        const Domain64& da2 = solver.domain(a);
-        std::uint64_t kill =
-            da2.raw_mask() & Domain64::mask_ge(da2.base(), b_max_key);
-        if (da2.contains(idle_)) {
-          kill |= std::uint64_t{1}
-                  << static_cast<unsigned>(idle_ - da2.base());
-        }
-        const Value base = da2.base();
-        while (kill != 0) {
-          const Value v = base + std::countr_zero(kill);
-          kill &= kill - 1;
-          if (solver.remove(a, v) == PropResult::kFail) {
-            return PropResult::kFail;
-          }
-          local = true;
-        }
-      }
-    }
-
-    changed = changed || local;
-    if (!local) return PropResult::kOk;
+    const std::uint64_t kill_b =
+        chain_kill_b(solver.domain(a), solver.domain(b), idle_);
+    if (!remove_all(b, kill_b)) return PropResult::kFail;
+    const std::uint64_t kill_a =
+        chain_kill_a(solver.domain(a), solver.domain(b), idle_);
+    if (!remove_all(a, kill_a)) return PropResult::kFail;
+    changed = changed || (kill_a | kill_b) != 0;
+    if (kill_a == 0) return PropResult::kOk;
   }
+}
+
+bool SymmetryChain::root_fixpoint(std::span<Domain64> domains, Value idle) {
+  // One walk over the pairs, each taken to its local fixpoint.  Pairs left
+  // of k are stable; a pair that narrows its left position can unsettle
+  // the pair before it, so the walk steps back there.  The rule is
+  // monotone, so this reaches the same fixpoint as the propagator's
+  // sweeps.
+  std::size_t k = 0;
+  while (k + 1 < domains.size()) {
+    Domain64& a = domains[k];
+    Domain64& b = domains[k + 1];
+    bool a_narrowed = false;
+    for (;;) {
+      b.set_raw_mask(b.raw_mask() & ~chain_kill_b(a, b, idle));
+      if (b.empty()) return false;
+      const std::uint64_t kill_a = chain_kill_a(a, b, idle);
+      if (kill_a == 0) break;
+      a.set_raw_mask(a.raw_mask() & ~kill_a);
+      if (a.empty()) return false;
+      a_narrowed = true;
+    }
+    k = a_narrowed && k > 0 ? k - 1 : k + 1;
+  }
+  return true;
 }
 
 PropResult SymmetryChain::propagate(Solver& solver) {

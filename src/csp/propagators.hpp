@@ -62,6 +62,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "csp/solver.hpp"
@@ -226,6 +227,14 @@ class SymmetryChain final : public Propagator {
     return vars_;
   }
   [[nodiscard]] const char* name() const override { return "symmetry-chain"; }
+
+  /// The fixpoint a chain over these domains (in scope order) reaches on
+  /// its own: narrows `domains` in place to exactly what the propagator's
+  /// first run would leave, by the same pair rule.  A model builder posts
+  /// the result before adding the chain, so that run prunes nothing.
+  /// Returns false when a domain empties (the chain alone is
+  /// inconsistent).
+  static bool root_fixpoint(std::span<Domain64> domains, Value idle);
 
  private:
   /// Prunes pair k = (vars_[k], vars_[k+1]) to its local fixpoint; sets

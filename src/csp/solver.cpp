@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "csp/nogoods.hpp"
 #include "support/assert.hpp"
@@ -76,6 +77,13 @@ bool Solver::post_remove(VarId v, Value a) {
   MGRTS_EXPECTS(!frozen_);
   Domain64& d = domains_[static_cast<std::size_t>(v)];
   d.remove(a);
+  return !d.empty();
+}
+
+bool Solver::post_restrict(VarId v, std::uint64_t keep) {
+  MGRTS_EXPECTS(!frozen_);
+  Domain64& d = domains_[static_cast<std::size_t>(v)];
+  d.set_raw_mask(d.raw_mask() & keep);
   return !d.empty();
 }
 
@@ -1068,6 +1076,9 @@ Value Solver::select_value(const SearchOptions& options, VarId var,
 }
 
 SolveOutcome Solver::solve(const SearchOptions& options) {
+  // The first call freezes the model and leaves domains, trail and
+  // propagator state where its search stopped; nothing resets them.
+  MGRTS_EXPECTS(!frozen_ && "Solver::solve may run once per Solver instance");
   support::Stopwatch watch;
   stats_ = SolveStats{};
   scratch_ = options.propagation == PropagationMode::kScratch;
@@ -1091,7 +1102,7 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   // keep the fix-only subscription.
   const bool uip_learning =
       options.nogood_shrink && options.nogood_learn == NogoodLearn::kUip1;
-  if (!frozen_ && (options.nogoods || options.nogood_pool != nullptr) &&
+  if ((options.nogoods || options.nogood_pool != nullptr) &&
       !domains_.empty()) {
     auto store = std::make_unique<NogoodStore>(
         variable_count(), options.nogood_max_length, options.nogood_max_lbd,
@@ -1155,25 +1166,30 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
                                    secs(Phase::kRestart)};
     }
     stats_.seconds = watch.seconds();
-    // Fold the per-id counters into per-class rows keyed by name() (the
-    // class set is tiny, so a linear probe beats a map), sorted by name
-    // for stable output.
-    stats_.propagators.clear();
+    // Fold the per-id counters into per-class rows, sorted by name for
+    // stable output.  name() returns one literal per class, so the fold
+    // probes literal addresses (the class set is tiny) and compares text
+    // only the first time a literal shows up.
+    auto& rows = stats_.propagators;
+    rows.clear();
+    std::vector<std::pair<const char*, std::size_t>> row_of;  // literal, row
     for (std::size_t k = 0; k < propagators_.size(); ++k) {
       const char* nm = propagators_[k]->name();
-      auto row = std::find_if(
-          stats_.propagators.begin(), stats_.propagators.end(),
-          [&](const PropagatorProfile& r) { return r.name == nm; });
-      if (row == stats_.propagators.end()) {
-        stats_.propagators.push_back(PropagatorProfile{nm, 0, 0, 0, 0.0});
-        row = stats_.propagators.end() - 1;
+      auto it = std::find_if(row_of.begin(), row_of.end(),
+                             [nm](const auto& e) { return e.first == nm; });
+      if (it == row_of.end()) {
+        std::size_t r = 0;
+        while (r < rows.size() && rows[r].name != nm) ++r;
+        if (r == rows.size()) rows.push_back({nm, 0, 0, 0, 0.0});
+        it = row_of.emplace(row_of.end(), nm, r);
       }
-      row->wakes += prop_wakes_[k];
-      row->runs += prop_runs_[k];
-      row->prunes += prop_prunes_[k];
-      row->seconds += prop_seconds_[k];
+      PropagatorProfile& row = rows[it->second];
+      row.wakes += prop_wakes_[k];
+      row.runs += prop_runs_[k];
+      row.prunes += prop_prunes_[k];
+      row.seconds += prop_seconds_[k];
     }
-    std::sort(stats_.propagators.begin(), stats_.propagators.end(),
+    std::sort(rows.begin(), rows.end(),
               [](const PropagatorProfile& a, const PropagatorProfile& b) {
                 return a.name < b.name;
               });
@@ -1186,15 +1202,13 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
     return outcome;
   };
 
-  if (!frozen_) {
-    build_watch_lists();
-    // Populate the unfixed sparse set.
-    for (VarId v = 0; v < static_cast<VarId>(domains_.size()); ++v) {
-      if (domains_[static_cast<std::size_t>(v)].empty()) {
-        return finish(SolveStatus::kUnsat);
-      }
-      sync_membership(v);
+  build_watch_lists();
+  // Populate the unfixed sparse set.
+  for (VarId v = 0; v < static_cast<VarId>(domains_.size()); ++v) {
+    if (domains_[static_cast<std::size_t>(v)].empty()) {
+      return finish(SolveStatus::kUnsat);
     }
+    sync_membership(v);
   }
 
   // Root propagation: schedule everything once.  The first run of each

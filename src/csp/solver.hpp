@@ -206,10 +206,12 @@ class Solver {
   void add(std::unique_ptr<Propagator> propagator);
 
   /// Root-level pruning while building the model (e.g. CSP1 constraint (2),
-  /// out-of-window zeroing).  Returns false when the model becomes
-  /// trivially inconsistent.
+  /// out-of-window zeroing): no trail, no events.  Returns false when the
+  /// model becomes trivially inconsistent.  post_restrict keeps only the
+  /// values whose bits `keep` holds (bit k is value base + k).
   bool post_fix(VarId v, Value a);
   bool post_remove(VarId v, Value a);
+  bool post_restrict(VarId v, std::uint64_t keep);
 
   // ---- propagator API (valid during propagation) ----------------------
 
@@ -253,7 +255,8 @@ class Solver {
 
   // ---- solving ---------------------------------------------------------
 
-  /// Runs the search.  May be called once per Solver instance.
+  /// Runs the search.  May be called once per Solver instance: a second
+  /// call is a precondition failure.
   [[nodiscard]] SolveOutcome solve(const SearchOptions& options);
 
  private:

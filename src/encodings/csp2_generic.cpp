@@ -1,5 +1,6 @@
 #include "encodings/csp2_generic.hpp"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -51,19 +52,37 @@ Csp2GenericModel build_csp2_generic(const rt::TaskSet& ts,
     static_cast<void>(solver.add_variable(0, idle));
   }
 
-  const rt::WindowIndex windows(ts);
+  // Every window walk below is bounded by the job table's slot budget.
+  rt::guard_window_slots(ts, rt::JobTable::kDefaultSlotBudget);
 
-  // (7) + §VI-A domain rule: remove task values outside their windows and on
-  // processors that cannot serve them.
+  // (7) + §VI-A domain rule: x_j(t) keeps task i iff slot t lies in a window
+  // of i and processor j can serve i.  Both are bit masks over the task
+  // values (bit i is task i, bit n idle), so each domain is one AND.
+  std::vector<std::uint64_t> in_window(static_cast<std::size_t>(T), 0);
+  for (TaskId i = 0; i < n; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    for (Time k = 0; k < ts.jobs_per_hyperperiod(i); ++k) {
+      rt::for_each_window_slot(ts, i, k, [&](Time t) {
+        in_window[static_cast<std::size_t>(t)] |= bit;
+      });
+    }
+  }
+  std::vector<std::uint64_t> servable(static_cast<std::size_t>(m), 0);
+  for (ProcId j = 0; j < m; ++j) {
+    for (TaskId i = 0; i < n; ++i) {
+      if (platform.can_run(i, j)) {
+        servable[static_cast<std::size_t>(j)] |= std::uint64_t{1} << i;
+      }
+    }
+  }
+  const std::uint64_t idle_bit = std::uint64_t{1} << idle;
   for (Time t = 0; t < T; ++t) {
     for (ProcId j = 0; j < m; ++j) {
-      const VarId x = model.var(j, t);
-      for (TaskId i = 0; i < n; ++i) {
-        if (!windows.in_window(i, t) || !platform.can_run(i, j)) {
-          const bool ok = solver.post_remove(x, i);
-          MGRTS_ASSERT(ok);  // idle keeps every domain non-empty
-        }
-      }
+      const bool ok = solver.post_restrict(
+          model.var(j, t), (in_window[static_cast<std::size_t>(t)] &
+                            servable[static_cast<std::size_t>(j)]) |
+                               idle_bit);
+      MGRTS_ASSERT(ok);  // idle keeps every domain non-empty
     }
   }
 
@@ -75,29 +94,39 @@ Csp2GenericModel build_csp2_generic(const rt::TaskSet& ts,
     solver.add(csp::make_all_different_except(std::move(column), idle));
   }
 
-  // (9) / (12): per-job execution amount.
-  const rt::JobTable jobs(ts);
-  for (const rt::Job& job : jobs.jobs()) {
-    std::vector<VarId> vars;
-    std::vector<std::int64_t> weights;
-    vars.reserve(job.slots.size() * static_cast<std::size_t>(m));
-    weights.reserve(job.slots.size() * static_cast<std::size_t>(m));
-    bool weighted = false;
-    for (const Time t : job.slots) {
-      for (ProcId j = 0; j < m; ++j) {
-        const rt::Rate rate = platform.rate(job.task, j);
-        if (rate == 0) continue;  // value i was removed from this variable
-        vars.push_back(model.var(j, t));
-        weights.push_back(rate);
-        weighted = weighted || rate != 1;
-      }
+  // (9) / (12): per-job execution amount, jobs by task then k, each scope
+  // slot by slot over the processors that can serve the task.
+  for (TaskId i = 0; i < n; ++i) {
+    std::vector<ProcId> servers;
+    std::vector<std::int64_t> rates;
+    for (ProcId j = 0; j < m; ++j) {
+      const rt::Rate rate = platform.rate(i, j);
+      if (rate == 0) continue;  // value i was removed from this variable
+      servers.push_back(j);
+      rates.push_back(rate);
     }
-    if (weighted) {
-      solver.add(csp::make_weighted_count_eq(std::move(vars),
-                                             std::move(weights), job.task,
-                                             job.wcet));
-    } else {
-      solver.add(csp::make_count_eq(std::move(vars), job.task, job.wcet));
+    const bool weighted = std::any_of(rates.begin(), rates.end(),
+                                      [](std::int64_t r) { return r != 1; });
+    const auto scope_size =
+        static_cast<std::size_t>(ts[i].deadline()) * servers.size();
+    for (Time k = 0; k < ts.jobs_per_hyperperiod(i); ++k) {
+      std::vector<VarId> vars;
+      std::vector<std::int64_t> weights;
+      vars.reserve(scope_size);
+      if (weighted) weights.reserve(scope_size);
+      rt::for_each_window_slot(ts, i, k, [&](Time t) {
+        for (const ProcId j : servers) vars.push_back(model.var(j, t));
+        if (weighted) {
+          weights.insert(weights.end(), rates.begin(), rates.end());
+        }
+      });
+      if (weighted) {
+        solver.add(csp::make_weighted_count_eq(std::move(vars),
+                                               std::move(weights), i,
+                                               ts[i].wcet()));
+      } else {
+        solver.add(csp::make_count_eq(std::move(vars), i, ts[i].wcet()));
+      }
     }
   }
 
@@ -111,19 +140,22 @@ Csp2GenericModel build_csp2_generic(const rt::TaskSet& ts,
         analysis::forced_demand_test(ts, m).verdict ==
         analysis::TestVerdict::kInfeasible;
     std::vector<std::int32_t> tight_per_slot(static_cast<std::size_t>(T), 0);
-    for (const rt::Job& job : jobs.jobs()) {
-      const auto capacity = static_cast<std::int64_t>(job.slots.size());
-      if (job.wcet > capacity) root_infeasible = true;  // slack rule
+    for (TaskId i = 0; i < n; ++i) {
+      // A job's window capacity is D_i slots.
+      if (ts[i].wcet() > ts[i].deadline()) root_infeasible = true;  // slack
       if (root_infeasible) break;
-      if (job.wcet != capacity) continue;
-      // Tight job: it must occupy exactly one processor in *every* slot of
-      // its window (the dedicated solver's slack rule, made declarative).
-      for (const Time t : job.slots) {
-        ++tight_per_slot[static_cast<std::size_t>(t)];
-        std::vector<VarId> column;
-        column.reserve(static_cast<std::size_t>(m));
-        for (ProcId j = 0; j < m; ++j) column.push_back(model.var(j, t));
-        solver.add(csp::make_count_eq(std::move(column), job.task, 1));
+      if (ts[i].wcet() != ts[i].deadline()) continue;
+      // Tight jobs: each must occupy exactly one processor in *every* slot
+      // of its window (the dedicated solver's slack rule, made
+      // declarative).
+      for (Time k = 0; k < ts.jobs_per_hyperperiod(i); ++k) {
+        rt::for_each_window_slot(ts, i, k, [&](Time t) {
+          ++tight_per_slot[static_cast<std::size_t>(t)];
+          std::vector<VarId> column;
+          column.reserve(static_cast<std::size_t>(m));
+          for (ProcId j = 0; j < m; ++j) column.push_back(model.var(j, t));
+          solver.add(csp::make_count_eq(std::move(column), i, 1));
+        });
       }
     }
     // Counting variant: more tight jobs over one slot than processors is a
@@ -137,14 +169,27 @@ Csp2GenericModel build_csp2_generic(const rt::TaskSet& ts,
     }
   }
 
-  // (10)/(13): optional symmetry chains per identical group and slot.
+  // (10)/(13): optional symmetry chains per identical group and slot.  Each
+  // chain's own fixpoint over (7)'s domains is posted before the chain is
+  // added (no trail, no events), so root propagation starts there: the
+  // chain's first run prunes nothing (DESIGN.md §17).
   if (options.symmetry_chains) {
+    std::vector<csp::Domain64> domains;
     for (const auto& group : platform.identical_groups(n)) {
       if (group.size() < 2) continue;
       for (Time t = 0; t < T; ++t) {
         std::vector<VarId> chain;
         chain.reserve(group.size());
-        for (const ProcId j : group) chain.push_back(model.var(j, t));
+        domains.clear();
+        for (const ProcId j : group) {
+          chain.push_back(model.var(j, t));
+          domains.push_back(solver.domain(chain.back()));
+        }
+        const bool ok = csp::SymmetryChain::root_fixpoint(domains, idle);
+        MGRTS_ASSERT(ok);  // idle stays in every domain
+        for (std::size_t p = 0; p < chain.size(); ++p) {
+          solver.post_restrict(chain[p], domains[p].raw_mask());
+        }
         solver.add(csp::make_symmetry_chain(std::move(chain), idle));
       }
     }

@@ -6,17 +6,24 @@
 // the contribution of the encoding from the contribution of the hand-made
 // search strategy (ablation bench B).
 //
-// Deviations from the paper's presentation (see DESIGN.md §3):
+// Deviations from the paper's presentation:
 //   * idle is encoded as value n (not -1) so that ascending value order
 //     means "tasks first, idle last", matching search rule 1's intent;
 //   * the symmetry rule (10)/(13) is posted as a declarative chain
 //     propagator per identical-processor group (optional).
 //
-// Constraints:
-//   (7)  task value i removed from x_j(t) outside i's windows
-//        (plus i removed wherever s_{i,j} = 0, §VI-A);
-//   (8)  AllDifferentExcept(idle) per slot column;
-//   (9)  CountEq / (12) WeightedCountEq per job window.
+// Constraints, built from window arithmetic without a job table
+// (src/csp/DESIGN.md §17):
+//   (7)       x_j(t) keeps task i iff slot t lies in a window of i and
+//             s_{i,j} > 0 (§VI-A): one AND of per-slot and per-processor
+//             task masks, plus idle;
+//   (8)       AllDifferentExcept(idle) per slot column;
+//   (9)/(12)  CountEq / WeightedCountEq per job window, scopes in job
+//             order (task, k, window slot, processor);
+//   (10)/(13) SymmetryChain per identical group and slot, posted at its
+//             root fixpoint over (7)'s domains: chain position p starts
+//             without the p smallest tasks of its slot, so root
+//             propagation need not derive those prunes.
 #pragma once
 
 #include <memory>

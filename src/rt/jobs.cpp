@@ -15,10 +15,8 @@ WindowIndex::WindowIndex(const TaskSet& ts) : hyperperiod_(ts.hyperperiod()) {
   }
 }
 
-JobTable::JobTable(const TaskSet& ts, std::int64_t max_total_slots)
-    : windows_(ts) {
+void guard_window_slots(const TaskSet& ts, std::int64_t max_total_slots) {
   support::fault_point(support::FaultSite::kJobTable);
-  const Time T = ts.hyperperiod();
   std::int64_t total_slots = 0;
   for (TaskId i = 0; i < ts.size(); ++i) {
     const auto slots =
@@ -27,13 +25,17 @@ JobTable::JobTable(const TaskSet& ts, std::int64_t max_total_slots)
         slots ? support::checked_add(total_slots, *slots) : slots;
     if (!next || *next > max_total_slots) {
       throw ResourceError(
-          "JobTable: materializing windows needs more than " +
+          "materializing job windows needs more than " +
           std::to_string(max_total_slots) +
           " slot entries; use WindowIndex for instances this large");
     }
     total_slots = *next;
   }
+}
 
+JobTable::JobTable(const TaskSet& ts, std::int64_t max_total_slots)
+    : windows_(ts) {
+  guard_window_slots(ts, max_total_slots);
   first_.reserve(static_cast<std::size_t>(ts.size()));
   jobs_.reserve(static_cast<std::size_t>(ts.total_jobs()));
   for (TaskId i = 0; i < ts.size(); ++i) {
@@ -48,9 +50,7 @@ JobTable::JobTable(const TaskSet& ts, std::int64_t max_total_slots)
       job.abs_deadline = job.release + task.deadline();
       job.wcet = task.wcet();
       job.slots.reserve(static_cast<std::size_t>(task.deadline()));
-      for (Time d = 0; d < task.deadline(); ++d) {
-        job.slots.push_back((job.release + d) % T);
-      }
+      for_each_window_slot(ts, i, k, [&](Time t) { job.slots.push_back(t); });
       jobs_.push_back(std::move(job));
     }
   }

@@ -10,11 +10,12 @@
 // `WindowIndex` answers membership queries in O(1) arithmetic without
 // materializing anything, so the CSP2 solver can handle hyperperiods in the
 // 10^5..10^6 range; the schedule validator uses it too.  `JobTable`
-// materializes explicit per-job slot lists for the CSP encodings, local
-// search and schedule statistics (small instances); it guards against
-// accidental memory blow-ups with an explicit budget.  The flow oracle
-// builds its network straight from the same window arithmetic and does not
-// use a `JobTable`; it only shares the budget (flow/oracle.hpp).
+// materializes explicit per-job slot lists for CSP1, local search and
+// `rt/stats` (small instances); it guards against accidental memory
+// blow-ups with an explicit budget.  The flow oracle and the generic CSP2
+// model walk the windows straight from the task parameters and use no
+// `JobTable`: the flow oracle shares the budget (flow/oracle.hpp), the
+// CSP2 model runs the table's own guard (`guard_window_slots`).
 #pragma once
 
 #include <cstdint>
@@ -87,10 +88,28 @@ struct Job {
   Time wcet = 0;                ///< C_i
 };
 
+/// Calls fn(t) for each cyclic slot of job k of task i, in window order:
+/// (O_i + k*T_i + d) mod T for d = 0..D_i-1.
+template <typename Fn>
+void for_each_window_slot(const TaskSet& ts, TaskId i, Time k, Fn&& fn) {
+  const Task& task = ts[i];
+  const Time T = ts.hyperperiod();
+  Time t = (task.offset() + k * task.period()) % T;
+  for (Time d = 0; d < task.deadline(); ++d) {
+    fn(t);
+    if (++t == T) t = 0;
+  }
+}
+
+/// The guard a window walk runs before it allocates: the kJobTable fault
+/// site, then ResourceError when sum_i (T/T_i)*D_i exceeds
+/// `max_total_slots`.
+void guard_window_slots(const TaskSet& ts, std::int64_t max_total_slots);
+
 /// Materialized job list for small instances.
 class JobTable {
  public:
-  /// Throws ResourceError if sum_i (T/T_i)*D_i exceeds `max_total_slots`.
+  /// Runs guard_window_slots first.
   explicit JobTable(const TaskSet& ts,
                     std::int64_t max_total_slots = kDefaultSlotBudget);
 

@@ -98,7 +98,7 @@ void Server::run() {
   }
   // Graceful drain: no new connections, in-flight solves cancelled
   // cooperatively, handlers notice stopping_ at their next poll.
-  stopping_.store(true, std::memory_order_relaxed);
+  request_stop();
   stop_token_.cancel();
   pool_->wait_idle();
 }
@@ -107,8 +107,16 @@ void Server::start() {
   accept_thread_ = std::thread([this] { run(); });
 }
 
+void Server::request_stop() {
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex_);
+    stopping_.store(true, std::memory_order_relaxed);
+  }
+  stop_wake_.notify_all();
+}
+
 void Server::stop() {
-  stopping_.store(true, std::memory_order_relaxed);
+  request_stop();
   stop_token_.cancel();
   if (accept_thread_.joinable() &&
       accept_thread_.get_id() != std::this_thread::get_id()) {
@@ -191,8 +199,10 @@ void Server::watchdog_loop() {
   const std::int64_t stall_ms = options_.watchdog_stall_ms;
   const auto interval = std::chrono::milliseconds(
       std::clamp<std::int64_t>(stall_ms / 4, 5, 250));
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(interval);
+  std::unique_lock<std::mutex> wait_lock(stop_mutex_);
+  while (!stop_wake_.wait_for(wait_lock, interval, [this] {
+    return stopping_.load(std::memory_order_relaxed);
+  })) {
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (const auto& slot : slots_) {

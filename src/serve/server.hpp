@@ -30,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -145,6 +146,8 @@ class Server {
   /// here, so the Service path still parses once.
   const Route* route_for(const std::string& payload, Message& request) const;
   void watchdog_loop();
+  /// Sets stopping_ and wakes the watchdog out of its wait.
+  void request_stop();
 
   ServerOptions options_;
   Service service_;
@@ -153,6 +156,10 @@ class Server {
   support::CancelToken stop_token_ = support::CancelToken::make();
   std::atomic<bool> stopping_{false};
   std::atomic<std::int64_t> watchdog_culled_{0};
+  /// The watchdog waits out each interval on stop_wake_, so a stop wakes
+  /// it at once instead of after its next tick.
+  std::mutex stop_mutex_;
+  std::condition_variable stop_wake_;
 
   std::mutex slots_mutex_;
   std::vector<std::shared_ptr<RequestSlot>> slots_;

@@ -37,8 +37,9 @@ namespace mgrts::support {
 
 enum class FaultSite : int {
   kFlowNetwork = 0,  ///< flow oracle network allocation (flow/oracle.cpp)
-  kJobTable,         ///< job window materialization (rt/jobs.cpp) and the
-                     ///< flow oracle's window guard (flow/oracle.cpp)
+  kJobTable,         ///< job window guard (rt/jobs.cpp: the job table and
+                     ///< the generic CSP2 model) and the flow oracle's
+                     ///< window guard (flow/oracle.cpp)
   kScheduleTable,    ///< schedule table allocation (rt/schedule.cpp)
   kCspVarBudget,     ///< CSP variable budget (csp/solver.cpp)
   kDeadline,         ///< forced deadline expiry mid-propagation

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "csp/solver.hpp"
+#include "support/rng.hpp"
 
 namespace mgrts::csp {
 namespace {
@@ -250,6 +251,59 @@ TEST(SymmetryChain, PropagatesBoundsBothWays) {
   const auto outcome = solver.solve({});
   ASSERT_EQ(outcome.status, SolveStatus::kSat);
   EXPECT_EQ(outcome.assignment[static_cast<std::size_t>(a)], 2);
+}
+
+TEST(SymmetryChain, RootFixpointEqualsThePropagatorsRootSweep) {
+  // SymmetryChain::root_fixpoint must leave exactly the domains the
+  // propagator's own first run leaves: random small chains over mixed
+  // domain bases, idle a value inside the domains' span or one outside it,
+  // some positions fixed with post_fix, including chains that empty a
+  // domain (the helper returns false where the solve fails at the root).
+  support::Rng rng(2026);
+  int emptied = 0;
+  int narrowed = 0;
+  for (int trial = 0; trial < 3'000; ++trial) {
+    const auto len = static_cast<int>(rng.uniform(2, 6));
+    const auto top = static_cast<Value>(rng.uniform(1, 6));
+    Value idle = top;  // inside the span of every domain below
+    const auto idle_kind = rng.uniform(0, 2);
+    if (idle_kind == 1) idle = -1;  // below every domain
+    if (idle_kind == 2) idle = 200;  // past every domain's window
+    Solver solver;
+    std::vector<VarId> vars;
+    std::vector<Domain64> domains;
+    for (int p = 0; p < len; ++p) {
+      const auto lo = static_cast<Value>(rng.uniform(0, 1));
+      const VarId v = solver.add_variable(lo, top);
+      std::uint64_t keep = rng.next_u64();
+      if ((keep & solver.domain(v).raw_mask()) == 0) keep = 1;
+      ASSERT_TRUE(solver.post_restrict(v, keep));
+      if (rng.chance(0.2)) {
+        ASSERT_TRUE(solver.post_fix(v, solver.domain(v).max()));
+      }
+      vars.push_back(v);
+      domains.push_back(solver.domain(v));
+    }
+    const std::vector<Domain64> before = domains;
+    solver.add(make_symmetry_chain(vars, idle));
+    SearchOptions options;
+    options.max_nodes = 0;
+    const SolveOutcome outcome = solver.solve(options);
+
+    const bool ok = SymmetryChain::root_fixpoint(domains, idle);
+    ASSERT_EQ(ok, outcome.status != SolveStatus::kUnsat) << "trial " << trial;
+    if (!ok) {
+      ++emptied;
+      continue;
+    }
+    for (std::size_t p = 0; p < vars.size(); ++p) {
+      ASSERT_EQ(domains[p].raw_mask(), solver.domain(vars[p]).raw_mask())
+          << "trial " << trial << ", position " << p;
+      if (domains[p].raw_mask() != before[p].raw_mask()) ++narrowed;
+    }
+  }
+  EXPECT_GT(emptied, 100);
+  EXPECT_GT(narrowed, 1'000);
 }
 
 }  // namespace

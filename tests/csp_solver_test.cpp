@@ -403,5 +403,18 @@ TEST(Solver, LexHeuristicAssignsInDeclarationOrder) {
   EXPECT_EQ(outcome.assignment[static_cast<std::size_t>(b)], 0);
 }
 
+TEST(SolverDeathTest, SecondSolveIsANamedPrecondition) {
+  // A solve leaves the domains and the trail where its search stopped, so
+  // a second one on the same instance is refused by name, not by whatever
+  // invariant it would trip first.
+  Solver solver;
+  const VarId a = solver.add_variable(0, 1);
+  const VarId b = solver.add_variable(0, 1);
+  solver.add(make_at_most_one({a, b}));
+  ASSERT_EQ(solver.solve({}).status, SolveStatus::kSat);
+  EXPECT_DEATH(static_cast<void>(solver.solve({})),
+               "precondition violated.*may run once per Solver instance");
+}
+
 }  // namespace
 }  // namespace mgrts::csp

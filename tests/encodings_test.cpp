@@ -7,6 +7,7 @@
 #include "gen/generator.hpp"
 #include "rt/validate.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "testing.hpp"
 
 namespace mgrts::enc {
@@ -121,8 +122,12 @@ TEST(Csp2Generic, WindowRemovalAtRoot) {
   // At t=2 task tau3 (value 2) is out of window on every processor.
   for (rt::ProcId j = 0; j < 2; ++j) {
     EXPECT_FALSE(model.solver->domain(model.var(j, 2)).contains(2));
-    EXPECT_TRUE(model.solver->domain(model.var(j, 2)).contains(0));
   }
+  // The symmetry chain's root fixpoint is posted at build: position 0 keeps
+  // the slot's smallest task, position 1 can no longer hold it.
+  EXPECT_TRUE(model.solver->domain(model.var(0, 2)).contains(0));
+  EXPECT_FALSE(model.solver->domain(model.var(1, 2)).contains(0));
+  EXPECT_TRUE(model.solver->domain(model.var(1, 2)).contains(1));
 }
 
 TEST(Csp2Generic, SolvesExample1AndValidates) {
@@ -245,6 +250,78 @@ TEST(Csp2Generic, HeterogeneousDomainRule) {
   ASSERT_EQ(outcome.status, csp::SolveStatus::kSat);
   EXPECT_TRUE(rt::is_valid_schedule(
       ts, p, decode_csp2_generic(model, outcome.assignment)));
+}
+
+// ---------------------------------------------------- root fixpoint digest
+
+/// FNV-1a over the eight bytes of `word`.
+void mix(std::uint64_t& h, std::uint64_t word) {
+  for (int k = 0; k < 8; ++k) {
+    h ^= (word >> (8 * k)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Folds the root status and, unless the root failed, every domain root
+/// propagation leaves into `h`.  A failed root stops mid-propagation, so its
+/// domains depend on the propagation order; only its status counts.
+void mix_root(std::uint64_t& h, const TaskSet& ts, const Platform& p,
+              csp::PropagationMode mode) {
+  const Csp2GenericModel model = build_csp2_generic(ts, p);
+  csp::SearchOptions options;
+  options.propagation = mode;
+  options.max_nodes = 0;
+  const csp::SolveOutcome outcome = model.solver->solve(options);
+  mix(h, static_cast<std::uint64_t>(outcome.status));
+  if (outcome.status == csp::SolveStatus::kUnsat) return;
+  for (csp::VarId v = 0; v < model.solver->variable_count(); ++v) {
+    const csp::Domain64& d = model.solver->domain(v);
+    mix(h, d.raw_mask());
+    mix(h, static_cast<std::uint64_t>(d.base()));
+  }
+}
+
+TEST(Csp2Generic, RootFixpointDigestIsPinned) {
+  // The root fixpoint is a function of the model alone: however the model
+  // is built and whatever order root propagation runs in, every domain it
+  // leaves must stay bit for bit.  Table-I shapes (synchronous and with
+  // offsets), then 6-task/4-processor shapes on identical, uniform and
+  // heterogeneous platforms whose processors come in identical pairs (so
+  // every platform carries symmetry chains), in both propagation modes.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto mode : {csp::PropagationMode::kIncremental,
+                          csp::PropagationMode::kScratch}) {
+    for (const bool offsets : {false, true}) {
+      gen::GeneratorOptions table1;  // n = 10, m = 5, Tmax = 7, D first
+      table1.with_offsets = offsets;
+      for (std::uint64_t k = 0; k < 60; ++k) {
+        const auto inst = gen::generate_indexed(table1, 5, k);
+        mix_root(h, inst.tasks, Platform::identical(inst.processors), mode);
+      }
+    }
+    gen::GeneratorOptions small;
+    small.tasks = 6;
+    small.processors = 4;
+    small.t_max = 6;
+    small.with_offsets = true;
+    for (std::uint64_t k = 0; k < 50; ++k) {
+      const auto inst = gen::generate_indexed(small, 6, k);
+      support::Rng rng(k);
+      mix_root(h, inst.tasks, Platform::identical(4), mode);
+      const auto s0 = static_cast<rt::Rate>(rng.uniform(1, 3));
+      const auto s1 = static_cast<rt::Rate>(rng.uniform(1, 3));
+      mix_root(h, inst.tasks, Platform::uniform({s0, s0, s1, s1}), mode);
+      std::vector<std::vector<rt::Rate>> rates;
+      for (rt::TaskId i = 0; i < inst.tasks.size(); ++i) {
+        const auto a = static_cast<rt::Rate>(rng.uniform(0, 2));
+        const auto b = static_cast<rt::Rate>(rng.uniform(0, 2));
+        rates.push_back({a, a, b, b});
+      }
+      mix_root(h, inst.tasks, Platform::heterogeneous(std::move(rates)),
+               mode);
+    }
+  }
+  EXPECT_EQ(h, 0x19efdc9b28d03231ULL);
 }
 
 // ------------------------------------------------ cross-encoding agreement

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -714,6 +715,21 @@ TEST(Daemon, ShutdownRequestStopsTheAcceptLoop) {
   // be unwinding, so this returns promptly rather than timing out.
   server.stop();
   EXPECT_TRUE(server.service().shutdown_requested());
+}
+
+TEST(Daemon, StopWakesTheWatchdogInsteadOfWaitingOutItsInterval) {
+  // Under the default 5,000 ms stall the watchdog checks every 250 ms.  It
+  // waits on a condition variable that stop() signals, so stop() returns
+  // at once instead of after the watchdog's current interval.
+  ServerOptions options;
+  options.socket_path = test_socket_path("stop");
+  ASSERT_EQ(options.watchdog_stall_ms, 5'000);
+  Server server(options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // mid-wait
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
 }
 
 TEST(Daemon, GarbageBytesOnTheSocketGetARefusalNotACrash) {
