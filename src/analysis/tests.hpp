@@ -56,9 +56,14 @@ struct TestResult {
 [[nodiscard]] TestResult window_fit_test(const rt::TaskSet& ts,
                                          std::int32_t processors);
 
-/// Necessary: forced demand over prefixes [0, L).  Walks the window-end
-/// event points in order (at most `max_events` of them) and reports
-/// infeasible on the first L with demand(L) > m*L.
+/// Necessary: forced demand over prefixes [0, L).  Reports infeasible on
+/// the first window end L with demand(L) > m*L, and the whole demand(L) in
+/// the detail.  At most `max_events` window ends are visited: when the
+/// ends in [0, T] fit under the cap and T is not sparse in them (at most
+/// 24 slots per end) it buckets them by L and sweeps [0, T] a block of
+/// slots at a time, O(J + T); otherwise it walks them in L order off a
+/// min-heap and stops at the cap, so a cap that cuts the walk short
+/// leaves the test silent, never wrong.
 [[nodiscard]] TestResult forced_demand_test(const rt::TaskSet& ts,
                                             std::int32_t processors,
                                             std::int64_t max_events = 200'000);

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -60,7 +61,8 @@ class AnalysisStage final : public Stage {
 // ------------------------------------------------------------- stage 2
 // Exact polynomial feasibility via max-flow.  Produces a canonical witness
 // schedule for feasible instances; memory pressure downgrades to kUnknown
-// (the backend gets its chance) instead of aborting the solve.
+// (the backend gets its chance) instead of aborting the solve, and so does
+// the stage's deadline running out between Dinic phases.
 class FlowOracleStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "flow-oracle"; }
@@ -72,14 +74,24 @@ class FlowOracleStage final : public Stage {
 
   [[nodiscard]] StageResult run(const rt::TaskSet& ts,
                                 const rt::Platform& platform,
-                                const StageContext&) const override {
+                                const StageContext& context) const override {
     StageResult out;
     try {
-      flow::OracleResult oracle = flow::decide_feasibility(ts, platform);
-      out.verdict = canonical_verdict(oracle.verdict);
-      out.schedule = std::move(oracle.schedule);
-      out.detail = "max-flow " + std::to_string(oracle.flow) + " of demand " +
-                   std::to_string(oracle.demand);
+      std::optional<flow::OracleResult> oracle =
+          flow::decide_feasibility(ts, platform, context.deadline);
+      if (!oracle) {
+        const bool cancelled = context.deadline.cancel_requested();
+        out.verdict = Verdict::kUnknown;
+        out.cause =
+            cancelled ? FailureCause::kCancelled : FailureCause::kDeadline;
+        out.detail = std::string("flow oracle stopped between Dinic phases: ") +
+                     (cancelled ? "cancelled" : "deadline expired");
+        return out;
+      }
+      out.verdict = canonical_verdict(oracle->verdict);
+      out.schedule = std::move(oracle->schedule);
+      out.detail = "max-flow " + std::to_string(oracle->flow) +
+                   " of demand " + std::to_string(oracle->demand);
     } catch (const ResourceError& e) {
       // The oracle's size guard refused the network before allocating it
       // (more than 50M forward arcs), or an injected fault shadowed that

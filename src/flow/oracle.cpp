@@ -17,7 +17,6 @@ namespace mgrts::flow {
 
 namespace {
 
-using rt::ProcId;
 using rt::Schedule;
 using rt::TaskId;
 using rt::Time;
@@ -140,31 +139,52 @@ Network build(const rt::TaskSet& ts, std::int32_t m, Index jobs, Index arcs) {
   return net;
 }
 
-/// Jobs in index order take their earliest slots whose sink arc has room.
-/// Returns the flow placed.
-std::int64_t warm_start(Network& net) {
+/// The warm start: tasks by ascending laxity D_i - C_i (ties by task
+/// index), each task's jobs in index order, each job claiming its earliest
+/// slots whose sink arc still has room.  `first_job[i]` is task i's first
+/// job node and `first_job[n]` the first slot node.  Returns the flow
+/// placed.
+std::int64_t warm_start(Network& net, const rt::TaskSet& ts,
+                        const std::vector<Index>& first_job) {
+  std::vector<TaskId> order(static_cast<std::size_t>(ts.size()));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return ts[a].d_minus_c() < ts[b].d_minus_c();
+  });
   std::int64_t placed = 0;
-  for (Index job = 1; job < net.first_slot; ++job) {
-    const Index from_source = net.rev[ix(net.begin(job))];
-    const std::int32_t need = net.cap[ix(from_source)];
-    std::int32_t got = 0;
-    for (Index a = net.begin(job) + 1; a < net.end(job) && got < need; ++a) {
-      const Index to_sink = net.end(net.to[ix(a)]) - 1;
-      if (net.cap[ix(to_sink)] == 0) continue;
-      net.push(a, 1);
-      net.push(to_sink, 1);
-      ++got;
+  for (const TaskId i : order) {
+    const auto at = static_cast<std::size_t>(i);
+    for (Index job = first_job[at]; job < first_job[at + 1]; ++job) {
+      const Index from_source = net.rev[ix(net.begin(job))];
+      const std::int32_t need = net.cap[ix(from_source)];
+      std::int32_t got = 0;
+      for (Index a = net.begin(job) + 1; a < net.end(job) && got < need;
+           ++a) {
+        const Index to_sink = net.end(net.to[ix(a)]) - 1;
+        if (net.cap[ix(to_sink)] == 0) continue;
+        net.push(a, 1);
+        net.push(to_sink, 1);
+        ++got;
+      }
+      net.push(from_source, got);
+      placed += got;
     }
-    net.push(from_source, got);
-    placed += got;
   }
   return placed;
 }
 
 /// Iterative Dinic on top of `flow` already placed: BFS levels over the
 /// residual network, then a blocking flow along current arcs with an
-/// explicit arc stack.  Stops once `demand` flows; returns the total flow.
-std::int64_t dinic(Network& net, std::int64_t flow, std::int64_t demand) {
+/// explicit arc stack.  Stops once `demand` flows or the sink is cut off,
+/// and returns the total flow; `phases` counts the level graphs that
+/// reached the sink, each followed by a blocking flow.
+/// Before each phase it asks `deadline`, and returns nullopt once that
+/// has expired or been cancelled.
+std::optional<std::int64_t> dinic(Network& net, std::int64_t flow,
+                                  std::int64_t demand,
+                                  const support::Deadline& deadline,
+                                  std::int32_t& phases) {
+  if (flow == demand) return flow;  // the warm start placed it all
   const std::size_t nodes = ix(net.sink) + 1;
   std::vector<Index> level(nodes);
   std::vector<Index> current(nodes);
@@ -200,7 +220,10 @@ std::int64_t dinic(Network& net, std::int64_t flow, std::int64_t demand) {
   auto tail_of = [&](std::size_t depth) {
     return depth == 0 ? Network::kSource : net.to[ix(queue[depth - 1])];
   };
-  while (flow < demand && bfs()) {
+  while (flow < demand) {
+    if (deadline.expired()) return std::nullopt;
+    if (!bfs()) break;
+    ++phases;
     std::copy(net.head.begin(), net.head.end() - 1, current.begin());
     std::size_t top = 0;
     Index u = Network::kSource;
@@ -243,8 +266,9 @@ std::int64_t dinic(Network& net, std::int64_t flow, std::int64_t demand) {
 
 }  // namespace
 
-OracleResult decide_feasibility(const rt::TaskSet& ts,
-                                const rt::Platform& platform) {
+std::optional<OracleResult> decide_feasibility(
+    const rt::TaskSet& ts, const rt::Platform& platform,
+    const support::Deadline& deadline) {
   if (!platform.is_identical()) {
     throw ValidationError(
         "flow oracle supports identical platforms only (see oracle.hpp)");
@@ -267,19 +291,27 @@ OracleResult decide_feasibility(const rt::TaskSet& ts,
 
   const Time T = ts.hyperperiod();
   const std::int32_t m = platform.processors();
-  Index jobs = 0;
+  // Task i's jobs are the nodes [first_job[i], first_job[i + 1]).
+  std::vector<Index> first_job(static_cast<std::size_t>(ts.size()) + 1, 1);
   std::int64_t demand = 0;
   for (TaskId i = 0; i < ts.size(); ++i) {
-    jobs += static_cast<Index>(ts.jobs_per_hyperperiod(i));
+    const auto at = static_cast<std::size_t>(i);
+    first_job[at + 1] =
+        first_job[at] + static_cast<Index>(ts.jobs_per_hyperperiod(i));
     demand += ts.jobs_per_hyperperiod(i) * ts[i].wcet();
   }
+  const Index jobs = first_job.back() - 1;
 
   support::fault_point(support::FaultSite::kFlowNetwork);
   Network net = build(ts, m, jobs, static_cast<Index>(2 * *forward));
 
   OracleResult result;
   result.demand = demand;
-  result.flow = dinic(net, warm_start(net), demand);
+  const std::optional<std::int64_t> flow =
+      dinic(net, warm_start(net, ts, first_job), demand, deadline,
+            result.phases);
+  if (!flow) return std::nullopt;
+  result.flow = *flow;
   MGRTS_ASSERT(result.flow <= demand);
   if (result.flow != demand) {
     result.verdict = OracleVerdict::kInfeasible;
@@ -288,25 +320,39 @@ OracleResult decide_feasibility(const rt::TaskSet& ts,
 
   result.verdict = OracleVerdict::kFeasible;
 
-  // A saturated job -> slot arc means the job runs in that slot.  Jobs come
-  // in index order, which is ascending task order, so each slot hands out
-  // processors 0..k-1 in ascending task order: the canonical assignment.
-  Schedule schedule(T, m);
-  std::vector<ProcId> busy(static_cast<std::size_t>(T), 0);
-  Index job = 1;
+  // A slot's back arcs hold the flow of its job -> slot arcs and list its
+  // jobs in index order, which is ascending task order; so walking them
+  // hands the slot's processors 0..k-1 out in ascending task order, the
+  // canonical assignment, one schedule row at a time.  Which arcs carry
+  // flow is too irregular to predict, so each arc's task is written to
+  // `cells` unconditionally and kept by advancing `busy` when it carries
+  // flow; at most m do, so `busy` never passes m.
+  std::vector<TaskId> task_of(ix(net.first_slot));
   for (TaskId i = 0; i < ts.size(); ++i) {
-    const Time count = ts.jobs_per_hyperperiod(i);
-    for (Time k = 0; k < count; ++k, ++job) {
-      for (Index a = net.begin(job) + 1; a < net.end(job); ++a) {
-        if (net.cap[ix(a)] != 0) continue;
-        const Index s = net.to[ix(a)] - net.first_slot;
-        MGRTS_ASSERT(busy[ix(s)] < m);
-        schedule.set(s, busy[ix(s)]++, i);
-      }
+    const auto at = static_cast<std::size_t>(i);
+    std::fill(task_of.begin() + first_job[at],
+              task_of.begin() + first_job[at + 1], i);
+  }
+  Schedule schedule(T, m);
+  std::vector<TaskId> cells(static_cast<std::size_t>(m) + 1);
+  for (Index s = 0; s < static_cast<Index>(T); ++s) {
+    const Index slot = net.first_slot + s;
+    std::size_t busy = 0;
+    for (Index b = net.begin(slot); b < net.end(slot) - 1; ++b) {
+      cells[busy] = task_of[ix(net.to[ix(b)])];
+      busy += static_cast<std::size_t>(net.cap[ix(b)] != 0);
     }
+    MGRTS_ASSERT(busy <= static_cast<std::size_t>(m));
+    std::copy_n(cells.begin(), busy, schedule.row(s).begin());
   }
   result.schedule = std::move(schedule);
   return result;
+}
+
+OracleResult decide_feasibility(const rt::TaskSet& ts,
+                                const rt::Platform& platform) {
+  // An unlimited deadline never expires, so a result always comes back.
+  return *decide_feasibility(ts, platform, support::Deadline{});
 }
 
 }  // namespace mgrts::flow

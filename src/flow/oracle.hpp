@@ -19,17 +19,28 @@
 //   * a job's arcs are the back arc to the source, then its D_i slot arcs
 //     in window order; a slot's arcs are the back arcs of its jobs in
 //     ascending job order, then its arc to the sink, last.
-// A greedy warm start takes the jobs in index order, each claiming its
-// earliest slots whose sink arc still has room (on the Table-I stream this
-// places ~93% of the demand); an iterative current-arc Dinic augments the
-// rest and stops as soon as the demand flows.
+//
+// Warm start.  Before Dinic runs, a greedy pass places what it can: the
+// tasks in ascending laxity D_i - C_i (ties by task index), each task's
+// jobs in index order, each job claiming its earliest slots whose sink arc
+// still has room.  The tightest tasks go first, so the loose ones fill in
+// around them; on the Table-I stream's flow-bound instances this places
+// ~98.9% of the demand (job-index order placed ~93.5%) and leaves ~0.8
+// Dinic phases for a feasible instance (src/csp/DESIGN.md §18 has the
+// variants measured).  An iterative current-arc Dinic augments the rest
+// and stops as soon as the demand flows.
+//
+// Deadline.  The three-argument form asks a support::Deadline before each
+// Dinic phase and gives up with no verdict once it has expired or been
+// cancelled; the size guard below bounds the network, the deadline bounds
+// the time spent on it.
 //
 // Witness.  At most m tasks occupy any slot, so handing them processors in
 // ascending task order gives the canonical representative the CSP2
-// symmetry rule picks.  A saturated job->slot arc means the job runs in
-// that slot; walking the jobs in index order (ascending task order) and
-// giving each slot its next free processor yields that canonical form
-// straight off the arc order, without any sort.
+// symmetry rule picks.  A slot's back arcs carry the flow of its
+// job -> slot arcs and list its jobs in index order (ascending task
+// order), so walking them fills the slot's schedule row (Schedule::row)
+// in canonical form straight off the arc order, without any sort.
 //
 // The oracle is the ground truth for solver tests and doubles as the
 // fastest feasibility decision procedure for identical platforms; it does
@@ -42,6 +53,7 @@
 #include "rt/platform.hpp"
 #include "rt/schedule.hpp"
 #include "rt/task_set.hpp"
+#include "support/deadline.hpp"
 
 namespace mgrts::flow {
 
@@ -58,6 +70,11 @@ struct OracleResult {
   /// Max-flow value vs. required demand, for diagnostics.
   std::int64_t flow = 0;
   std::int64_t demand = 0;
+  /// Dinic phases run after the warm start: level graphs that reached the
+  /// sink, each followed by a blocking flow (the final search that finds
+  /// the sink cut off is not counted).  0 when the warm start placed the
+  /// whole demand.
+  std::int32_t phases = 0;
 };
 
 /// Decides feasibility of `ts` (constrained deadlines) on m identical
@@ -72,6 +89,15 @@ struct OracleResult {
 ///   windows is refused as promptly as long windows are.
 [[nodiscard]] OracleResult decide_feasibility(const rt::TaskSet& ts,
                                               const rt::Platform& platform);
+
+/// The same decision under a time bound: `deadline` is asked before every
+/// Dinic phase (expired(), which also sees its cancel token), and nullopt
+/// comes back once it has run out, never a partial verdict.  An instance
+/// the warm start settles needs no phase and always returns.  Throws as
+/// the two-argument form does.
+[[nodiscard]] std::optional<OracleResult> decide_feasibility(
+    const rt::TaskSet& ts, const rt::Platform& platform,
+    const support::Deadline& deadline);
 
 /// Convenience wrapper returning just the boolean verdict.
 [[nodiscard]] inline bool is_feasible(const rt::TaskSet& ts,

@@ -2,14 +2,20 @@
 //
 // Per Theorem 1 the infinite schedule is sigma(t mod T); this class stores
 // exactly one hyperperiod.  Cells hold 0-based task ids; kIdle (-1) marks an
-// idle processor slot (the paper's 0 / "no task" value).
+// idle processor slot (the paper's 0 / "no task" value).  The table is
+// slot-major: the m cells of slot t are contiguous, and `row(t)` hands them
+// out without the mod-T reduction `at`/`set` pay per cell, for the loops
+// that walk a whole hyperperiod slot by slot (the flow oracle's witness,
+// the validator).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rt/task.hpp"
+#include "support/assert.hpp"
 
 namespace mgrts::rt {
 
@@ -31,6 +37,14 @@ class Schedule {
 
   void set(Time t, ProcId j, TaskId task) { table_[index(t, j)] = task; }
 
+  /// The m cells of slot t, processor 0 first; t must lie in [0, T).
+  [[nodiscard]] std::span<const TaskId> row(Time t) const {
+    return {table_.data() + row_start(t), static_cast<std::size_t>(m_)};
+  }
+  [[nodiscard]] std::span<TaskId> row(Time t) {
+    return {table_.data() + row_start(t), static_cast<std::size_t>(m_)};
+  }
+
   /// Number of (slot, processor) pairs assigned to `task`.
   [[nodiscard]] Time units_of(TaskId task) const noexcept;
 
@@ -47,6 +61,10 @@ class Schedule {
     const Time tc = t % T_;
     return static_cast<std::size_t>(tc) * static_cast<std::size_t>(m_) +
            static_cast<std::size_t>(j);
+  }
+  [[nodiscard]] std::size_t row_start(Time t) const {
+    MGRTS_ASSERT(t >= 0 && t < T_);
+    return static_cast<std::size_t>(t) * static_cast<std::size_t>(m_);
   }
 
   Time T_ = 0;

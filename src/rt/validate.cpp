@@ -1,9 +1,11 @@
 #include "rt/validate.hpp"
 
+#include <span>
 #include <sstream>
+#include <vector>
 
-#include "rt/jobs.hpp"
 #include "support/error.hpp"
+#include "support/math.hpp"
 
 namespace mgrts::rt {
 
@@ -59,55 +61,98 @@ ValidationReport validate_schedule(const TaskSet& ts, const Platform& platform,
     return report;  // nothing else is meaningful
   }
 
-  const WindowIndex windows(ts);
-
-  // units[i][k]: weighted work received by job k of task i.
-  std::vector<std::vector<Time>> units(static_cast<std::size_t>(n));
+  // Window arithmetic, one slot at a time.  Each task carries its phase at
+  // the current slot t: d = (t - O_i) mod T_i, the slot's offset into the
+  // current period, and k, the job released at the start of that period.
+  // Slot t lies in job k's window iff d < D_i.  Both advance by one per
+  // slot (k wraps at T/T_i, where t wraps at T), so after the n divisions
+  // that set them at t = 0 no cell divides.  Job k of task i accumulates
+  // its weighted work in units[first + k].
+  struct Phase {
+    Time d = 0;
+    Time k = 0;
+    Time period = 0;
+    Time deadline = 0;
+    Time jobs = 0;
+    std::size_t first = 0;  ///< the task's first job in `units`
+    Time seen = -1;         ///< last slot the task ran in (C3)
+  };
+  std::vector<Phase> phases(static_cast<std::size_t>(n));
+  std::size_t job_count = 0;
   for (TaskId i = 0; i < n; ++i) {
-    units[static_cast<std::size_t>(i)].assign(
-        static_cast<std::size_t>(ts.jobs_per_hyperperiod(i)), 0);
+    Phase& phase = phases[static_cast<std::size_t>(i)];
+    phase.period = ts[i].period();
+    phase.deadline = ts[i].deadline();
+    phase.jobs = T / phase.period;
+    phase.first = job_count;
+    job_count += static_cast<std::size_t>(phase.jobs);
+    const Time u = support::floor_mod(-ts[i].offset(), T);
+    phase.k = u / phase.period;
+    phase.d = u % phase.period;
+  }
+  std::vector<Time> units(job_count, 0);
+
+  // s_{i,j} of every (task, processor) pair, row by task.
+  std::vector<Rate> rates(static_cast<std::size_t>(n) *
+                          static_cast<std::size_t>(m));
+  for (TaskId i = 0; i < n; ++i) {
+    for (ProcId j = 0; j < m; ++j) {
+      rates[static_cast<std::size_t>(i) * static_cast<std::size_t>(m) +
+            static_cast<std::size_t>(j)] = platform.rate(i, j);
+    }
   }
 
-  std::vector<Time> seen_at_slot(static_cast<std::size_t>(n), -1);
   for (Time t = 0; t < T; ++t) {
+    const std::span<const TaskId> row = schedule.row(t);
     for (ProcId j = 0; j < m; ++j) {
-      const TaskId i = schedule.at(t, j);
+      const TaskId i = row[static_cast<std::size_t>(j)];
       if (i == kIdle) continue;
       if (i < 0 || i >= n) {
         fail(ViolationKind::kBadTaskId, t, j, i,
              "cell value " + std::to_string(i));
         continue;
       }
-      if (seen_at_slot[static_cast<std::size_t>(i)] == t) {
+      Phase& phase = phases[static_cast<std::size_t>(i)];
+      if (phase.seen == t) {
         fail(ViolationKind::kParallelism, t, j, i,
              "task already running on another processor this slot");
         continue;
       }
-      seen_at_slot[static_cast<std::size_t>(i)] = t;
+      phase.seen = t;
 
-      if (!platform.can_run(i, j)) {
+      const Rate rate =
+          rates[static_cast<std::size_t>(i) * static_cast<std::size_t>(m) +
+                static_cast<std::size_t>(j)];
+      if (rate <= 0) {
         fail(ViolationKind::kZeroRateProc, t, j, i, "s_{i,j} = 0");
         continue;
       }
-      const auto hit = windows.hit(i, t);
-      if (!hit) {
+      if (phase.d >= phase.deadline) {
         fail(ViolationKind::kOutsideWindow, t, j, i,
              "slot outside every availability window");
         continue;
       }
-      units[static_cast<std::size_t>(i)][static_cast<std::size_t>(hit->job)] +=
-          platform.rate(i, j);
+      units[phase.first + static_cast<std::size_t>(phase.k)] += rate;
+    }
+    // Branch-free: a period boundary comes every T_i slots, too irregular
+    // across tasks to predict.
+    for (Phase& phase : phases) {
+      const bool wrap = ++phase.d == phase.period;
+      phase.d = wrap ? 0 : phase.d;
+      phase.k += wrap;
+      phase.k = phase.k == phase.jobs ? 0 : phase.k;
     }
   }
 
   for (TaskId i = 0; i < n; ++i) {
     const Time wcet = ts[i].wcet();
-    const auto& task_units = units[static_cast<std::size_t>(i)];
-    for (std::size_t k = 0; k < task_units.size(); ++k) {
-      if (task_units[k] != wcet) {
+    const Phase& phase = phases[static_cast<std::size_t>(i)];
+    for (Time k = 0; k < phase.jobs; ++k) {
+      const Time got = units[phase.first + static_cast<std::size_t>(k)];
+      if (got != wcet) {
         fail(ViolationKind::kWrongAmount, -1, -1, i,
              "job k=" + std::to_string(k + 1) + " received " +
-                 std::to_string(task_units[k]) + " units, requires " +
+                 std::to_string(got) + " units, requires " +
                  std::to_string(wcet));
       }
     }

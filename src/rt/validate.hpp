@@ -8,7 +8,14 @@
 //
 // The validator shares no code with any solver; it recomputes everything
 // from the task set, so it acts as the referee for the Theorem 1/2
-// equivalence tests.
+// equivalence tests and re-checks every witness the flow oracle hands the
+// daemon.  It walks the schedule once, slot by slot, reading each slot's
+// cells through Schedule::row.  Window membership is plain counting: each
+// task keeps its phase d = (t - O_i) mod T_i and its job index k, both
+// advanced by one per slot, so slot t is in job k's window iff d < D_i and
+// no cell divides.  Job work accumulates in one flat array.
+// (tests/validate_reference.hpp keeps the per-cell WindowIndex version the
+// differential test compares against, report for report.)
 #pragma once
 
 #include <cstdint>
@@ -49,7 +56,10 @@ struct ValidationReport {
 /// Validates one cyclic hyperperiod of `schedule` against the instance.
 /// `ts` must be constrained-deadline (run arbitrary-deadline systems through
 /// TaskSet::to_constrained first and validate the clone system; this is the
-/// paper's §VI-B route).
+/// paper's §VI-B route), and a heterogeneous `platform` must give a rate
+/// row for every task.  Violations come slot by slot, processor by
+/// processor (bad id, C3, zero rate, C1, the first that applies to the
+/// cell), then C4 task by task, job by job.
 [[nodiscard]] ValidationReport validate_schedule(const TaskSet& ts,
                                                  const Platform& platform,
                                                  const Schedule& schedule);

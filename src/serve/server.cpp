@@ -91,8 +91,8 @@ void Server::run() {
   while (!stopping_.load(std::memory_order_relaxed) &&
          !service_.shutdown_requested()) {
     support::Fd connection =
-        support::accept_unix(listener_, options_.poll_interval_ms);
-    if (!connection.valid()) continue;  // timeout: poll the flags again
+        support::accept_unix(listener_, options_.poll_interval_ms, wake_.fd());
+    if (!connection.valid()) continue;  // timeout or wake: poll the flags
     auto shared = std::make_shared<support::Fd>(std::move(connection));
     pool_->submit([this, shared] { handle_connection(std::move(*shared)); });
   }
@@ -113,6 +113,7 @@ void Server::request_stop() {
     stopping_.store(true, std::memory_order_relaxed);
   }
   stop_wake_.notify_all();
+  wake_.notify();
 }
 
 void Server::stop() {
@@ -185,6 +186,8 @@ void Server::handle_connection(support::Fd connection) {
       slots_.erase(std::remove(slots_.begin(), slots_.end(), slot),
                    slots_.end());
     }
+    // A shutdown request ends the accept loop now, not at its next poll.
+    if (service_.shutdown_requested()) wake_.notify();
 
     try {
       send_frame(connection, response);

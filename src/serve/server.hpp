@@ -54,8 +54,10 @@ struct ServerOptions {
   std::size_t workers = 4;
   /// Cull threshold for the stall watchdog; 0 disables it.
   std::int64_t watchdog_stall_ms = 5'000;
-  /// Per-read timeout on idle connections — a poll point for the stop
-  /// flag, not a client deadline (the loop continues on timeout).
+  /// Timeout of the accept loop's and idle connections' waits — a poll
+  /// point for the stop flags, not a client deadline (the loop continues
+  /// on timeout).  A stop or a shutdown request wakes the accept loop's
+  /// wait at once; an idle connection still notices at its next poll.
   std::int64_t poll_interval_ms = 200;
   ServiceOptions service;
 };
@@ -146,7 +148,8 @@ class Server {
   /// here, so the Service path still parses once.
   const Route* route_for(const std::string& payload, Message& request) const;
   void watchdog_loop();
-  /// Sets stopping_ and wakes the watchdog out of its wait.
+  /// Sets stopping_ and wakes the watchdog and the accept loop out of
+  /// their waits.
   void request_stop();
 
   ServerOptions options_;
@@ -160,6 +163,10 @@ class Server {
   /// it at once instead of after its next tick.
   std::mutex stop_mutex_;
   std::condition_variable stop_wake_;
+  /// Polled next to the listener: request_stop() and the handler that
+  /// answers a shutdown request notify it, so the accept loop sees the
+  /// stop at once instead of after `poll_interval_ms`.
+  support::WakePipe wake_;
 
   std::mutex slots_mutex_;
   std::vector<std::shared_ptr<RequestSlot>> slots_;

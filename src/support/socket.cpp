@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -29,13 +30,14 @@ sockaddr_un unix_address(const std::string& path) {
   return addr;
 }
 
-/// poll() for readability, retrying EINTR; true when readable, false on
-/// timeout.
-bool wait_readable(int fd, std::int64_t timeout_ms) {
-  pollfd pfd{fd, POLLIN, 0};
+/// poll() for readability, retrying EINTR; true when `fd` is readable,
+/// false on timeout or when `wake` (if >= 0) became readable first.
+bool wait_readable(int fd, std::int64_t timeout_ms, int wake = -1) {
+  std::array<pollfd, 2> pfds{{{fd, POLLIN, 0}, {wake, POLLIN, 0}}};
+  const nfds_t count = wake >= 0 ? 2 : 1;
   for (;;) {
-    const int rc = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    if (rc > 0) return true;
+    const int rc = ::poll(pfds.data(), count, static_cast<int>(timeout_ms));
+    if (rc > 0) return pfds[0].revents != 0;
     if (rc == 0) return false;
     if (errno != EINTR) fail("poll");
   }
@@ -45,6 +47,20 @@ bool wait_readable(int fd, std::int64_t timeout_ms) {
 
 bool wait_readable(const Fd& fd, std::int64_t timeout_ms) {
   return wait_readable(fd.get(), timeout_ms);
+}
+
+WakePipe::WakePipe() {
+  int fds[2] = {-1, -1};
+  if (::pipe2(fds, O_CLOEXEC | O_NONBLOCK) != 0) fail("pipe2");
+  read_ = Fd(fds[0]);
+  write_ = Fd(fds[1]);
+}
+
+void WakePipe::notify() noexcept {
+  // The byte is never read back, so the pipe stays readable; a full pipe
+  // (EAGAIN) is just as readable, so a failed write loses nothing.
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t rc = ::write(write_.get(), &byte, 1);
 }
 
 void Fd::close() noexcept {
@@ -84,8 +100,8 @@ Fd connect_unix(const std::string& path) {
   return fd;
 }
 
-Fd accept_unix(const Fd& listener, std::int64_t timeout_ms) {
-  if (!wait_readable(listener.get(), timeout_ms)) return Fd();
+Fd accept_unix(const Fd& listener, std::int64_t timeout_ms, const Fd& wake) {
+  if (!wait_readable(listener.get(), timeout_ms, wake.get())) return Fd();
   for (;;) {
     const int client = ::accept(listener.get(), nullptr, nullptr);
     if (client >= 0) return Fd(client);

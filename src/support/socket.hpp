@@ -71,10 +71,30 @@ class Fd {
 /// daemon is listening).
 [[nodiscard]] Fd connect_unix(const std::string& path);
 
+/// A self-pipe that ends poll(2) waits early.  notify() makes fd()
+/// readable for good (the byte is never read back), so every wait that
+/// polls fd() next to its own descriptor returns at once from then on: a
+/// server's stop wakes its accept loop instead of leaving it to its next
+/// timeout.  Throws SocketError when the pipe cannot be made.
+class WakePipe {
+ public:
+  WakePipe();
+
+  /// Wakes every current and future wait on fd().  Thread-safe.
+  void notify() noexcept;
+  [[nodiscard]] const Fd& fd() const noexcept { return read_; }
+
+ private:
+  Fd read_;
+  Fd write_;
+};
+
 /// Waits up to `timeout_ms` for a pending connection, then accepts it.
-/// Returns an invalid Fd on timeout (the caller's stop-flag poll point);
-/// throws SocketError on a genuine accept failure.
-[[nodiscard]] Fd accept_unix(const Fd& listener, std::int64_t timeout_ms);
+/// Returns an invalid Fd on timeout, or as soon as `wake` becomes
+/// readable: the caller's stop-flag poll point.  Throws SocketError on a
+/// genuine accept failure.
+[[nodiscard]] Fd accept_unix(const Fd& listener, std::int64_t timeout_ms,
+                             const Fd& wake);
 
 /// Waits up to `timeout_ms` for `fd` to become readable (-1 = forever).
 /// True when readable (or at EOF — the next read reports it), false on

@@ -5,12 +5,15 @@
 // generator family — including arbitrary-deadline clone expansion.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "analysis/tests.hpp"
 #include "core/solve.hpp"
 #include "flow/oracle.hpp"
 #include "gen/generator.hpp"
 #include "localsearch/min_conflicts.hpp"
 #include "rt/validate.hpp"
+#include "support/deadline.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 
@@ -61,6 +64,47 @@ TEST(Pipeline, FlowOracleStageDecidesExample1WithProvenance) {
   EXPECT_EQ(report.stage_times[0].verdict, Verdict::kUnknown);
   EXPECT_EQ(report.stage_times[1].stage, "flow-oracle");
   EXPECT_EQ(report.stage_times[1].verdict, Verdict::kFeasible);
+}
+
+TEST(Pipeline, FlowOracleStageStopsAtItsDeadlineWithACause) {
+  // A Table-I instance whose warm start leaves work for Dinic: with the
+  // stage's deadline already out, the stage stops before the first phase
+  // and says why, with no verdict and no witness.
+  gen::GeneratorOptions table1;
+  gen::Instance inst;
+  for (std::uint64_t k = 0;; ++k) {
+    inst = gen::generate_indexed(table1, 1, k);
+    if (flow::decide_feasibility(inst.tasks,
+                                 Platform::identical(inst.processors))
+            .phases >= 1) {
+      break;
+    }
+  }
+  const Platform p = Platform::identical(inst.processors);
+  const auto stage = make_flow_oracle_stage();
+
+  StageContext expired;
+  expired.deadline = support::Deadline::after(std::chrono::nanoseconds(0));
+  const StageResult late = stage->run(inst.tasks, p, expired);
+  EXPECT_EQ(late.verdict, Verdict::kUnknown);
+  EXPECT_EQ(late.cause, FailureCause::kDeadline);
+  EXPECT_FALSE(late.schedule.has_value());
+  EXPECT_NE(late.detail.find("deadline expired"), std::string::npos)
+      << late.detail;
+
+  StageContext cancelled;
+  const support::CancelToken token = support::CancelToken::make();
+  token.cancel();
+  cancelled.deadline.set_cancel(token);
+  const StageResult stopped = stage->run(inst.tasks, p, cancelled);
+  EXPECT_EQ(stopped.verdict, Verdict::kUnknown);
+  EXPECT_EQ(stopped.cause, FailureCause::kCancelled);
+  EXPECT_NE(stopped.detail.find("cancelled"), std::string::npos)
+      << stopped.detail;
+
+  const StageResult decided = stage->run(inst.tasks, p, StageContext{});
+  EXPECT_TRUE(decided.decisive());
+  EXPECT_EQ(decided.cause, FailureCause::kNone);
 }
 
 TEST(Pipeline, AnalysisStageProvesOverCapacityInfeasible) {

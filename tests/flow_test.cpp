@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "analysis/tests.hpp"
 #include "flow_reference.hpp"
 #include "gen/generator.hpp"
 #include "rt/validate.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
@@ -214,6 +217,61 @@ TEST(Oracle, CapacityFilterAgreesWithVerdictDirection) {
   }
 }
 
+// ------------------------------------------------------------ deadline
+
+/// The first Table-I instance (seed 1) whose warm start leaves work for
+/// Dinic.
+gen::Instance instance_needing_a_phase() {
+  gen::GeneratorOptions table1;
+  for (std::uint64_t k = 0;; ++k) {
+    auto inst = gen::generate_indexed(table1, 1, k);
+    if (decide_feasibility(inst.tasks, Platform::identical(inst.processors))
+            .phases >= 1) {
+      return inst;
+    }
+  }
+}
+
+TEST(OracleDeadline, ExpiredOrCancelledGivesNoVerdict) {
+  const gen::Instance inst = instance_needing_a_phase();
+  const Platform p = Platform::identical(inst.processors);
+  const support::Deadline expired =
+      support::Deadline::after(std::chrono::nanoseconds(0));
+  EXPECT_FALSE(decide_feasibility(inst.tasks, p, expired).has_value());
+
+  support::Deadline cancelled;
+  const support::CancelToken token = support::CancelToken::make();
+  cancelled.set_cancel(token);
+  ASSERT_TRUE(decide_feasibility(inst.tasks, p, cancelled).has_value());
+  token.cancel();
+  EXPECT_FALSE(decide_feasibility(inst.tasks, p, cancelled).has_value());
+}
+
+TEST(OracleDeadline, UnexpiredDeadlineGivesTheTwoArgumentResult) {
+  const gen::Instance inst = instance_needing_a_phase();
+  const Platform p = Platform::identical(inst.processors);
+  const OracleResult want = decide_feasibility(inst.tasks, p);
+  const auto got = decide_feasibility(inst.tasks, p,
+                                      support::Deadline::after_ms(60'000));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->verdict, want.verdict);
+  EXPECT_EQ(got->flow, want.flow);
+  EXPECT_EQ(got->phases, want.phases);
+  EXPECT_EQ(got->schedule, want.schedule);
+}
+
+TEST(OracleDeadline, AWarmStartThatPlacesEverythingNeedsNoPhase) {
+  // One task, one processor: the warm start places the whole demand, no
+  // phase runs, and so not even an expired deadline is asked.
+  const TaskSet ts = TaskSet::from_params({{0, 1, 2, 2}});
+  const Platform p = Platform::identical(1);
+  const auto got = decide_feasibility(
+      ts, p, support::Deadline::after(std::chrono::nanoseconds(0)));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->verdict, OracleVerdict::kFeasible);
+  EXPECT_EQ(got->phases, 0);
+}
+
 // ----------------------------------------------------- differential
 
 TEST(OracleDifferential, MatchesTheReferenceOnGeneratedFamilies) {
@@ -299,6 +357,29 @@ TEST(OracleDifferential, MatchesTheReferenceOnGeneratedFamilies) {
 
   EXPECT_GE(checked, 2000);
   EXPECT_GT(feasible, checked / 4);
+}
+
+TEST(OracleDifferential, DinicPhasesOnTheTableIStreamArePinned) {
+  // The Dinic phases left after the warm start, summed over the 700
+  // flow-bound Table-I instances of the differential above.  The laxity-
+  // ordered warm start leaves 792; taking the jobs in index order left
+  // 1,434 (889 over the 540 feasible instances, 545 over the 160
+  // infeasible ones).  A weaker warm start raises the sum.
+  gen::GeneratorOptions table1;
+  int flow_bound = 0;
+  std::int64_t phases = 0;
+  for (std::uint64_t k = 0; flow_bound < 700; ++k) {
+    const auto inst = gen::generate_indexed(table1, 1, k);
+    if (analysis::quick_decide(inst.tasks, inst.processors).verdict ==
+        analysis::TestVerdict::kInfeasible) {
+      continue;
+    }
+    ++flow_bound;
+    phases += decide_feasibility(inst.tasks,
+                                 Platform::identical(inst.processors))
+                  .phases;
+  }
+  EXPECT_EQ(phases, 792);
 }
 
 }  // namespace

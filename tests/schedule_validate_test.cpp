@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "analysis/tests.hpp"
+#include "csp2/csp2.hpp"
+#include "flow/oracle.hpp"
+#include "gen/generator.hpp"
 #include "rt/schedule.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "testing.hpp"
+#include "validate_reference.hpp"
 
 namespace mgrts::rt {
 namespace {
@@ -38,6 +49,19 @@ TEST(Schedule, BasicAccessors) {
   EXPECT_EQ(s.at(7, 1), 7);  // cyclic access
   EXPECT_EQ(s.units_of(7), 1);
   EXPECT_EQ(s.busy_cells(), 1);
+}
+
+TEST(Schedule, RowIsTheSlotsCellsInProcessorOrder) {
+  Schedule s(3, 2);
+  s.set(1, 0, 4);
+  s.set(1, 1, 2);
+  const Schedule& view = s;
+  EXPECT_EQ(std::vector<TaskId>(view.row(1).begin(), view.row(1).end()),
+            (std::vector<TaskId>{4, 2}));
+  EXPECT_EQ(view.row(0).size(), 2u);
+  s.row(2)[1] = 5;
+  EXPECT_EQ(s.at(2, 1), 5);
+  EXPECT_EQ(s.at(5, 1), 5);
 }
 
 TEST(Schedule, RunningAtSkipsIdle) {
@@ -163,6 +187,218 @@ TEST(Validator, ReportRendersHumanReadably) {
   const std::string text = report.to_string();
   EXPECT_NE(text.find("C3-parallelism"), std::string::npos);
   EXPECT_NE(text.find("tau1"), std::string::npos);
+}
+
+
+// ------------------------------------------------ validator differential
+//
+// The validator walks window phases slot by slot; the reference in
+// validate_reference.hpp places every cell with WindowIndex::hit.  Both
+// must give the same report, violation for violation and in order, on
+// real witnesses (the flow oracle's, and the dedicated CSP2 solver's on
+// uniform and heterogeneous platforms) and on mutants of them.
+
+struct Witness {
+  TaskSet tasks;
+  Platform platform;
+  Schedule schedule;
+};
+
+std::vector<Witness> witnesses() {
+  std::vector<Witness> out;
+  // Flow-oracle witnesses: Table-I shapes, then offsets on 2-3 processors.
+  gen::GeneratorOptions table1;
+  for (std::uint64_t k = 0; out.size() < 60; ++k) {
+    const auto inst = gen::generate_indexed(table1, 3, k);
+    const Platform p = Platform::identical(inst.processors);
+    auto result = flow::decide_feasibility(inst.tasks, p);
+    if (result.schedule) out.push_back({inst.tasks, p, *result.schedule});
+  }
+  gen::GeneratorOptions offsets;
+  offsets.tasks = 5;
+  offsets.t_max = 6;
+  offsets.with_offsets = true;
+  for (std::uint64_t k = 0; out.size() < 100; ++k) {
+    offsets.processors = 2 + static_cast<std::int32_t>(k % 2);
+    const auto inst = gen::generate_indexed(offsets, 5, k);
+    const Platform p = Platform::identical(inst.processors);
+    auto result = flow::decide_feasibility(inst.tasks, p);
+    if (result.schedule) out.push_back({inst.tasks, p, *result.schedule});
+  }
+  // Dedicated-CSP2 witnesses on uniform and heterogeneous platforms, some
+  // heterogeneous rates zero.
+  support::Rng rng(20'261'019);
+  gen::GeneratorOptions small;
+  small.tasks = 4;
+  small.t_max = 5;
+  int csp2_witnesses = 0;
+  for (std::uint64_t k = 0; csp2_witnesses < 60 && k < 2'000; ++k) {
+    small.processors = 2 + static_cast<std::int32_t>(k % 2);
+    small.with_offsets = k % 3 == 0;
+    const auto inst = gen::generate_indexed(small, 9, k);
+    const std::int32_t m = inst.processors;
+    Platform p = Platform::identical(m);
+    if (k % 2 == 0) {
+      std::vector<Rate> speeds;
+      for (std::int32_t j = 0; j < m; ++j) speeds.push_back(rng.uniform(1, 3));
+      p = Platform::uniform(speeds);
+    } else {
+      std::vector<std::vector<Rate>> rates(
+          static_cast<std::size_t>(inst.tasks.size()));
+      for (auto& row : rates) {
+        for (std::int32_t j = 0; j < m; ++j) row.push_back(rng.uniform(0, 2));
+        row[static_cast<std::size_t>(rng.uniform(0, m - 1))] = 1;
+      }
+      p = Platform::heterogeneous(rates);
+    }
+    csp2::Options options;
+    options.max_nodes = 20'000;
+    auto result = csp2::solve(inst.tasks, p, options);
+    if (!result.schedule) continue;
+    out.push_back({inst.tasks, p, *result.schedule});
+    ++csp2_witnesses;
+  }
+  return out;
+}
+
+/// One edit of the kinds a broken witness shows.
+void mutate(const Witness& w, Schedule& s, support::Rng& rng) {
+  const Time T = s.hyperperiod();
+  const std::int32_t m = s.processors();
+  const std::int32_t n = w.tasks.size();
+  const auto slot = [&] { return rng.uniform(0, T - 1); };
+  const auto proc = [&] { return static_cast<ProcId>(rng.uniform(0, m - 1)); };
+  const auto task = [&] { return static_cast<TaskId>(rng.uniform(0, n - 1)); };
+  switch (rng.uniform(0, 8)) {
+    case 0: {  // swap two cells
+      const Time t1 = slot(), t2 = slot();
+      const ProcId j1 = proc(), j2 = proc();
+      const TaskId a = s.at(t1, j1);
+      s.set(t1, j1, s.at(t2, j2));
+      s.set(t2, j2, a);
+      break;
+    }
+    case 1: {  // move a unit out of its window, onto a cell of another slot
+      const Time t = slot();
+      const ProcId j = proc();
+      const TaskId i = s.at(t, j);
+      if (i == kIdle) break;
+      const WindowIndex windows(w.tasks);
+      for (int tries = 0; tries < 8; ++tries) {
+        const Time to = slot();
+        if (windows.in_window(i, to)) continue;
+        s.set(t, j, kIdle);
+        s.set(to, proc(), i);
+        break;
+      }
+      break;
+    }
+    case 2: {  // run a task twice in one slot
+      const Time t = slot();
+      const ProcId j = proc();
+      if (s.at(t, j) != kIdle) s.set(t, (j + 1) % m, s.at(t, j));
+      break;
+    }
+    case 3:  // an id outside {kIdle, 0..n-1}
+      s.set(slot(), proc(),
+            rng.chance(0.5) ? static_cast<TaskId>(n + rng.uniform(0, 3))
+                            : static_cast<TaskId>(-2 - rng.uniform(0, 3)));
+      break;
+    case 4:  // drop a unit
+      s.set(slot(), proc(), kIdle);
+      break;
+    case 5:  // add a unit
+      s.set(slot(), proc(), task());
+      break;
+    case 6: {  // fill a zero-rate cell, where the platform has one
+      if (m != w.platform.processors()) break;  // after a shape edit
+      for (int tries = 0; tries < 16; ++tries) {
+        const TaskId i = task();
+        const ProcId j = proc();
+        if (w.platform.can_run(i, j)) continue;
+        s.set(slot(), j, i);
+        break;
+      }
+      break;
+    }
+    case 7: {  // a wrong shape
+      Schedule wrong(T + (rng.chance(0.5) ? 1 : 0),
+                     m + (rng.chance(0.5) ? 0 : 1));
+      if (wrong.hyperperiod() == T && wrong.processors() == m) {
+        wrong = Schedule(2 * T, m);
+      }
+      s = std::move(wrong);
+      break;
+    }
+    default: {  // rewrite a whole slot at random
+      const Time t = slot();
+      for (ProcId j = 0; j < m; ++j) {
+        s.set(t, j, rng.chance(0.3) ? kIdle : task());
+      }
+      break;
+    }
+  }
+}
+
+::testing::AssertionResult same_report(const ValidationReport& got,
+                                       const ValidationReport& want) {
+  if (got.violations.size() != want.violations.size()) {
+    return ::testing::AssertionFailure()
+           << got.violations.size() << " violations, reference "
+           << want.violations.size() << "\n"
+           << got.to_string() << "reference:\n" << want.to_string();
+  }
+  for (std::size_t v = 0; v < got.violations.size(); ++v) {
+    const Violation& a = got.violations[v];
+    const Violation& b = want.violations[v];
+    if (a.kind != b.kind || a.slot != b.slot || a.processor != b.processor ||
+        a.task != b.task || a.detail != b.detail) {
+      return ::testing::AssertionFailure()
+             << "violation " << v << " differs\n"
+             << got.to_string() << "reference:\n" << want.to_string();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ValidatorDifferential, MutantsGetTheReferenceReport) {
+  // ~70 ms in Release, ~0.5 s under ASan+UBSan (4-vCPU Xeon VM); a
+  // measurement, not an assertion, so a slow sanitizer runner cannot fail
+  // it.
+  const std::vector<Witness> pool = witnesses();
+  ASSERT_EQ(pool.size(), 160u);
+  support::Rng rng(20'261'020);
+  int clean = 0;
+  int mutants = 0;
+  std::array<int, 6> kinds{};  // one count per ViolationKind
+  for (const Witness& w : pool) {
+    const ValidationReport report =
+        validate_schedule(w.tasks, w.platform, w.schedule);
+    ASSERT_TRUE(report.ok()) << report.to_string();
+    ASSERT_TRUE(same_report(
+        report, reference::validate_schedule(w.tasks, w.platform, w.schedule)));
+    ++clean;
+    for (int k = 0; k < 40; ++k) {
+      Schedule s = w.schedule;
+      for (std::int64_t edits = rng.uniform(1, 3); edits > 0; --edits) {
+        mutate(w, s, rng);
+      }
+      ++mutants;
+      const ValidationReport want =
+          reference::validate_schedule(w.tasks, w.platform, s);
+      ASSERT_TRUE(
+          same_report(validate_schedule(w.tasks, w.platform, s), want))
+          << "witness " << clean - 1 << ", mutant " << k;
+      for (const Violation& v : want.violations) {
+        ++kinds[static_cast<std::size_t>(v.kind)];
+      }
+    }
+  }
+  EXPECT_EQ(mutants, 6'400);
+  // Every kind of violation was exercised.
+  for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
+    EXPECT_GT(kinds[kind], 0) << to_string(static_cast<ViolationKind>(kind));
+  }
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "support/deadline.hpp"
+#include "support/rng.hpp"
 #include "support/socket.hpp"
 #include "testing.hpp"
 
@@ -242,6 +243,155 @@ TEST(Wire, VerdictAndCauseStringsRoundTrip) {
   }
   EXPECT_EQ(verdict_from_string("maybe"), std::nullopt);
   EXPECT_EQ(cause_from_string("gremlins"), std::nullopt);
+}
+
+// ------------------------------------------------------ wire: fuzz loop
+//
+// A fixed-seed mutation loop over parse_message.  The seeds are the
+// hostile payload corpus below (each a ProtocolError) and well-formed
+// payloads of every request and response kind.  Every mutant must either
+// throw ProtocolError or parse to a Message that comes back unchanged
+// through format_message -> parse_message; the wire format has one spelling
+// per Message, so the mutant's own bytes come back too.
+
+/// Payloads parse_message must refuse.
+const std::vector<std::string>& hostile_payloads() {
+  static const std::vector<std::string> corpus = {
+      "",
+      "mgrts/1",
+      "mgrts/1\n\n",
+      "mgrts/1 \n\n",
+      "mgrts/2 solve\n\n",
+      "mgrts/1solve\n\n",
+      " mgrts/1 solve\n\n",
+      "GET / HTTP/1.1\r\n\r\n",
+      "mgrts/1 solve",
+      "mgrts/1 solve\n",
+      "mgrts/1 solve\nno-separator",
+      "mgrts/1 solve\nno-separator\n\n",
+      "mgrts/1 solve\n leading-space value\n\n",
+      "mgrts/1 solve\ntimeout-ms 5\n",
+      "mgrts/1 solve\ntimeout-ms 5\nid",
+      std::string("mgrts/1\0 solve\n\n", 16),
+  };
+  return corpus;
+}
+
+/// Well-formed payloads: every kind, with and without headers and bodies.
+std::vector<std::string> valid_payloads() {
+  std::vector<std::string> seeds;
+  const auto add = [&](const char* kind, std::vector<std::pair<std::string,
+                                                               std::string>>
+                                             headers,
+                       std::string body) {
+    Message message;
+    message.kind = kind;
+    message.headers = std::move(headers);
+    message.body = std::move(body);
+    seeds.push_back(format_message(message));
+  };
+  const std::string instance = core::write_instance_string(
+      testing::example1(), testing::example1_platform());
+  add("solve", {{"timeout-ms", "250"}, {"id", "req 1"}}, instance);
+  add("solve", {}, "tasks 1\n0 1 2 2\nprocessors 1\n");
+  add("ping", {}, "");
+  add("health", {}, "");
+  add("shutdown", {}, "");
+  add("shard", {{"shard", "3"}, {"indices", "1 2 3"}, {"seed", "7"}}, "");
+  add("ok", {{"verdict", "feasible"}, {"decided-by", "flow-oracle"}},
+      "0 1\n2 -1\n");
+  add("pong", {}, "");
+  add("bye", {}, "");
+  seeds.push_back(format_message(error_message("protocol", "bad tag")));
+  return seeds;
+}
+
+/// Byte edits draw from line and field separators, the tag's bytes, NUL
+/// and digits; tokens inserted whole are tags, kinds and header shapes.
+using std::string_view_literals::operator""sv;
+constexpr std::string_view kWireEditBytes = " \n\r\t\0mgrts/019"sv;
+constexpr std::string_view kWireEditTokens[] = {
+    "mgrts/1 ", "mgrts/1",     "\n\n",     "\n",   " ",
+    "solve",    "timeout-ms ", "id x y\n", "\r\n", "health",
+};
+
+void mutate_payload(std::string& text, support::Rng& rng) {
+  const auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const auto edit_byte = [&] {
+    return rng.chance(0.1) ? static_cast<char>(rng.uniform(0, 255))
+                           : kWireEditBytes[pick(kWireEditBytes.size())];
+  };
+  switch (rng.uniform(0, 5)) {
+    case 0:  // replace a byte
+      if (!text.empty()) text[pick(text.size())] = edit_byte();
+      break;
+    case 1:  // insert a byte
+      text.insert(pick(text.size() + 1), 1, edit_byte());
+      break;
+    case 2:  // delete a byte
+      if (!text.empty()) text.erase(pick(text.size()), 1);
+      break;
+    case 3: {  // insert a whole token
+      const std::string_view token =
+          kWireEditTokens[pick(std::size(kWireEditTokens))];
+      text.insert(pick(text.size() + 1), token);
+      break;
+    }
+    case 4: {  // duplicate a run of bytes
+      if (text.empty()) break;
+      const std::size_t at = pick(text.size());
+      text.insert(at, text.substr(at, pick(16) + 1));
+      break;
+    }
+    default:  // truncate
+      text.resize(pick(text.size() + 1));
+      break;
+  }
+}
+
+bool same_message(const Message& a, const Message& b) {
+  return a.kind == b.kind && a.headers == b.headers && a.body == b.body;
+}
+
+TEST(Wire, HostileCorpusIsRefused) {
+  for (const std::string& payload : hostile_payloads()) {
+    EXPECT_THROW((void)parse_message(payload), ProtocolError)
+        << "'" << payload << "'";
+  }
+}
+
+TEST(WireFuzz, MutantsAreRefusedOrRoundTripUnchanged) {
+  const std::vector<std::string> seed_sets[] = {valid_payloads(),
+                                                hostile_payloads()};
+  support::Rng rng(20'261'021);
+  int refused = 0;
+  int parsed = 0;
+  for (int k = 0; k < 20'000; ++k) {
+    const auto& seeds = seed_sets[k % 2];
+    std::string text = seeds[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(seeds.size()) - 1))];
+    for (std::int64_t edits = rng.uniform(1, 3); edits > 0; --edits) {
+      mutate_payload(text, rng);
+    }
+    Message message;
+    try {
+      message = parse_message(text);
+    } catch (const ProtocolError&) {
+      ++refused;
+      continue;
+    }
+    ++parsed;
+    const std::string again = format_message(message);
+    ASSERT_TRUE(same_message(parse_message(again), message))
+        << "mutant " << k << ": '" << text << "'";
+    ASSERT_EQ(again, text) << "mutant " << k;
+  }
+  // Both outcomes occur often enough to mean something.
+  EXPECT_GT(refused, 2'000);
+  EXPECT_GT(parsed, 2'000);
 }
 
 // -------------------------------------------------------- canonical keys
@@ -730,6 +880,48 @@ TEST(Daemon, StopWakesTheWatchdogInsteadOfWaitingOutItsInterval) {
   server.stop();
   EXPECT_LT(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(50));
+}
+
+TEST(Daemon, StopDoesNotWaitOutTheAcceptPoll) {
+  // The accept loop waits up to the default 200 ms poll; stop() wakes it
+  // through the server's wake pipe.
+  ServerOptions options;
+  options.socket_path = test_socket_path("prompt");
+  options.workers = 2;
+  ASSERT_EQ(options.poll_interval_ms, 200);
+  Server server(options);
+  server.start();
+  {
+    Client client(options.socket_path);
+    ASSERT_TRUE(client.ping());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // mid-poll
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+}
+
+TEST(Daemon, ShutdownRequestEndsRunWithoutWaitingOutThePoll) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("prompt_bye");
+  options.workers = 2;
+  ASSERT_EQ(options.poll_interval_ms, 200);
+  Server server(options);
+  std::chrono::steady_clock::time_point returned;
+  std::thread loop([&] {
+    server.run();
+    returned = std::chrono::steady_clock::now();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // mid-poll
+  {
+    Client client(options.socket_path);
+    client.shutdown();
+  }
+  const auto answered = std::chrono::steady_clock::now();
+  loop.join();
+  EXPECT_LT(returned - answered, std::chrono::milliseconds(50));
+  EXPECT_TRUE(server.service().shutdown_requested());
 }
 
 TEST(Daemon, GarbageBytesOnTheSocketGetARefusalNotACrash) {

@@ -13,18 +13,32 @@ the check also reads the manifest as it stood at that ref: when the new
 manifest drops a case or disables one that ran there, CHANGES.md must gain
 a line in the same change, saying why.
 
+With --xml-dir DIR the check also reads what a test run reported, not only
+its exit code: DIR holds one <binary>.xml per test binary, as a run with
+GTEST_OUTPUT=xml:DIR/ writes them.  For every binary, the cases that passed
+must equal the manifest's enabled cases, none may have failed, and the
+cases that did not run (disabled or skipped) must equal its DISABLED_
+cases.  A missing report (a binary that crashed, or never ran) fails too.
+So does a <binary>_<N>.xml beside <binary>.xml: gtest writes that name
+when <binary>.xml already exists, so DIR holds an earlier run's reports
+and <binary>.xml is not this run's.  Empty DIR before each run.
+
 Usage:
-  check_test_manifest.py --build-dir build [--base REF]
+  check_test_manifest.py --build-dir build [--base REF] [--xml-dir DIR]
   check_test_manifest.py --build-dir build --write
 
 Exit code 0 when the build matches the manifest (and, with --base, every
-dropped or disabled case comes with a CHANGES.md line), 1 otherwise.
+dropped or disabled case comes with a CHANGES.md line; with --xml-dir,
+every binary's run counts match it), 1 otherwise.
 """
 
 import argparse
+import collections
 import pathlib
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ElementTree
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFEST = "tests/gtest_manifest.txt"
@@ -111,12 +125,60 @@ def check_against_base(base, lines):
     return False
 
 
+def run_counts(report):
+    """(passed, failed, not run) over the testcases of one gtest XML."""
+    passed = failed = not_run = 0
+    for case in ElementTree.parse(report).getroot().iter("testcase"):
+        if case.find("failure") is not None:
+            failed += 1
+        elif (case.get("status") != "run"
+              or case.get("result") in ("skipped", "suppressed")):
+            not_run += 1
+        else:
+            passed += 1
+    return passed, failed, not_run
+
+
+def check_counts(xml_dir, manifest):
+    expected = collections.defaultdict(lambda: [0, 0])
+    for line in manifest:
+        binary, case = line.split(" ", 1)
+        expected[binary][1 if disabled(case) else 0] += 1
+    ok = True
+    for binary, (enabled, off) in sorted(expected.items()):
+        report = xml_dir / f"{binary}.xml"
+        if not report.exists():
+            print(f"{binary}: no run report {report}")
+            ok = False
+            continue
+        later = re.compile(re.escape(binary) + r"_\d+\.xml")
+        stale = sorted(path.name for path in xml_dir.iterdir()
+                       if later.fullmatch(path.name))
+        if stale:
+            print(f"{binary}: {', '.join(stale)} beside {report.name}: the "
+                  "directory holds more than one run; empty it and rerun")
+            ok = False
+            continue
+        passed, failed, not_run = run_counts(report)
+        if (passed, failed, not_run) != (enabled, 0, off):
+            print(f"{binary}: {passed} passed, {failed} failed, {not_run} "
+                  f"not run; the manifest expects {enabled} passed, 0 "
+                  f"failed, {off} not run")
+            ok = False
+    runs = sum(map(sum, expected.values()))
+    print(f"run reports of {len(expected)} binaries checked "
+          f"({runs} cases): {'ok' if ok else 'MISMATCH'}")
+    return ok
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default="build", type=pathlib.Path)
     parser.add_argument("--base", help="git ref to compare the manifest with")
     parser.add_argument("--write", action="store_true",
                         help="rewrite the manifest from the build")
+    parser.add_argument("--xml-dir", type=pathlib.Path,
+                        help="gtest XML reports of a run to count")
     args = parser.parse_args()
 
     lines = discover(args.build_dir.resolve())
@@ -142,6 +204,8 @@ def main():
         print(f"update {MANIFEST} with --write")
     print(render(lines).splitlines()[0])
     if args.base and not check_against_base(args.base, lines):
+        ok = False
+    if args.xml_dir and not check_counts(args.xml_dir.resolve(), committed):
         ok = False
     return 0 if ok else 1
 
