@@ -37,13 +37,7 @@ int main() {
     const std::vector<exp::SolverSpec> specs = {
         exp::csp2_spec(csp2::ValueOrder::kDMinusC, env.time_limit_ms)};
     const exp::BatchResult batch = exp::run_batch(options, specs);
-    last_health.failures += batch.health.failures;
-    last_health.retries += batch.health.retries;
-    last_health.recovered += batch.health.recovered;
-    last_health.quarantined += batch.health.quarantined;
-    if (last_health.first_error.empty()) {
-      last_health.first_error = batch.health.first_error;
-    }
+    last_health.merge(batch.health);
 
     // Regenerate the stream for parameter statistics (cheap and identical
     // by construction).

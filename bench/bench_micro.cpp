@@ -507,15 +507,7 @@ void report_residue(bench::BenchJson& json, std::uint64_t seed) {
       wall += run.seconds;
       nodes += run.nodes;
       decided += run.overrun() ? 0 : 1;
-      learn.recorded += run.nogoods.recorded;
-      learn.replay_hits += run.nogoods.replay_hits;
-      learn.lits_before += run.nogoods.lits_before;
-      learn.lits_after += run.nogoods.lits_after;
-      learn.subsumed += run.nogoods.subsumed;
-      learn.lbd_refreshed += run.nogoods.lbd_refreshed;
-      learn.backjumps += run.nogoods.backjumps;
-      learn.backjump_levels_saved += run.nogoods.backjump_levels_saved;
-      learn.lits_minimized += run.nogoods.lits_minimized;
+      learn += run.nogoods;
     }
     const double nodes_per_sec =
         wall > 0.0 ? static_cast<double>(nodes) / wall : 0.0;

@@ -1,25 +1,25 @@
-// The staged solve pipeline: presolve stages in front of a search backend.
+// The solve spine's shared vocabulary and its presolve stages.
 //
-// Every solve in this repo — single instance, batch, portfolio race — runs
-// through one `Pipeline`: an ordered list of `Stage`s (cheap, sound,
-// allowed to answer "unknown") followed by exactly one `Backend` (the
-// requested search method, which always produces the final word when no
-// stage short-circuits).  The pipeline records provenance: which stage or
-// backend decided (`decided_by`) and per-stage wall times, so harness
-// records and benches can report how much work presolve absorbs.
+// Every solve in this repo — single instance, batch, portfolio race — ends
+// in one `SolveReport`: the presolve stages (cheap, sound, allowed to
+// answer "unknown") run first, in a fixed order, and the requested search
+// method (core/solve.hpp) has the final word when none of them decides.
+// Stages and the backend are plain functions that fill that one report;
+// it records provenance — which stage or backend decided (`decided_by`)
+// and each one's wall time — so harness records and benches can report
+// how much work presolve absorbs.
 //
 // Stage contracts (see DESIGN.md §8):
 //   * sound — a decisive result (feasible, or infeasible with
 //     `complete == true`) must be a proof; "cannot tell" is kUnknown;
-//   * gated — `applicable()` rejects instance shapes the stage cannot
-//     judge (e.g. the flow oracle on heterogeneous platforms) so the
-//     pipeline composes over every workload without special-casing;
+//   * gated — a stage is skipped on instance shapes it cannot judge (the
+//     analysis and flow-oracle stages are identical-platform arguments);
 //   * bounded — stages respect the shared deadline and their node budget;
 //     a stage must never be the reason a solve misses its wall budget;
 //   * non-throwing for resource pressure — a stage that would exceed a
 //     memory budget reports kUnknown and lets the backend decide.
 //
-// Built-in stage line-up (each individually toggled by PipelineOptions):
+// The stage line-up (each individually toggled by PipelineOptions):
 //   1. "analysis"      — the exact one-sided bound tests (analysis/tests);
 //   2. "flow-oracle"   — exact polynomial decision, identical platforms;
 //   3. "csp2-presolve" — a node-budgeted slack/demand-pruned CSP2 probe
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,8 +40,6 @@
 #include "support/deadline.hpp"
 
 namespace mgrts::core {
-
-struct SolveConfig;  // core/solve.hpp
 
 /// Which presolve stages run in front of the backend, and their budgets.
 struct PipelineOptions {
@@ -74,12 +71,6 @@ struct PipelineOptions {
     options.csp2_presolve = true;
     return options;
   }
-};
-
-/// Budgets handed to a running stage.
-struct StageContext {
-  support::Deadline deadline;
-  std::int64_t presolve_max_nodes = 20'000;
 };
 
 /// Nogood-learning statistics of a generic-engine backend run (zeros when
@@ -115,61 +106,26 @@ struct NogoodStats {
                            : 1.0;
   }
 
+  /// Adds every counter of `other` (kNogoodCounters).
+  NogoodStats& operator+=(const NogoodStats& other) noexcept;
+
   bool operator==(const NogoodStats&) const = default;
 };
 
-/// What a stage (or backend) found.  Stages leave `verdict` at kUnknown to
-/// pass the instance on; backends report whatever their search produced.
-struct StageResult {
-  Verdict verdict = Verdict::kUnknown;
-  /// Whether a kInfeasible verdict is an exhaustive proof.
-  bool complete = true;
-  /// Why a non-decisive verdict happened (kNone for decisive answers and
-  /// plain presolve hand-offs).
-  FailureCause cause = FailureCause::kNone;
-  std::optional<rt::Schedule> schedule;  ///< witness, when one exists
-  /// Refined provenance label (e.g. "analysis:utilization"); empty means
-  /// "use the stage's name".
-  std::string decided_by;
-  std::string detail;
-  std::int64_t nodes = 0;
-  std::int64_t failures = 0;
-  NogoodStats nogoods;  ///< generic-engine backends only; zeros elsewhere
-  /// Per-propagator wake/run/prune rows, sorted by class name
-  /// (generic-engine backends only; empty elsewhere).
-  std::vector<csp::PropagatorProfile> propagators;
+/// Every NogoodStats counter, in the order the shard wire's `ng` line
+/// carries them.  A new counter goes into the struct and into this list.
+inline constexpr std::int64_t NogoodStats::*kNogoodCounters[] = {
+    &NogoodStats::recorded,      &NogoodStats::imported,
+    &NogoodStats::exported,      &NogoodStats::replay_hits,
+    &NogoodStats::lits_before,   &NogoodStats::lits_after,
+    &NogoodStats::subsumed,      &NogoodStats::lbd_refreshed,
+    &NogoodStats::backjumps,     &NogoodStats::backjump_levels_saved,
+    &NogoodStats::lits_minimized};
 
-  [[nodiscard]] bool decisive() const noexcept {
-    return core::decisive(verdict, complete);
-  }
-};
-
-/// A presolve stage: cheap, sound, may answer kUnknown.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  /// Structural gate: false when the stage cannot judge this instance
-  /// shape at all (it is then skipped silently).
-  [[nodiscard]] virtual bool applicable(const rt::TaskSet& ts,
-                                        const rt::Platform& platform) const = 0;
-  [[nodiscard]] virtual StageResult run(const rt::TaskSet& ts,
-                                        const rt::Platform& platform,
-                                        const StageContext& context) const = 0;
-};
-
-/// The terminal search method: runs when no stage decided, and its result —
-/// decided or not — is the pipeline's result.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual StageResult run(const rt::TaskSet& ts,
-                                        const rt::Platform& platform,
-                                        const SolveConfig& config,
-                                        const support::Deadline& deadline)
-      const = 0;
-};
+inline NogoodStats& NogoodStats::operator+=(const NogoodStats& other) noexcept {
+  for (const auto counter : kNogoodCounters) this->*counter += other.*counter;
+  return *this;
+}
 
 /// One line of pipeline provenance: stage (or backend) name, its verdict,
 /// and its wall time.
@@ -179,62 +135,76 @@ struct StageTiming {
   double seconds = 0.0;
 };
 
-struct PipelineOutcome {
-  StageResult result;
-  /// Who produced `result`: a stage name ("analysis:utilization",
-  /// "flow-oracle", "csp2-presolve") or "backend:<method>".
+/// What a solve found — and, while the spine runs, what one stage or the
+/// backend found.  A fresh report says kUnknown: nothing is settled until
+/// a stage or the backend writes a verdict.
+struct SolveReport {
+  Verdict verdict = Verdict::kUnknown;
+  std::optional<rt::Schedule> schedule;  ///< present iff a witness exists
+
+  /// The constrained-deadline system the schedule refers to (differs from
+  /// the input when clones were expanded).
+  std::optional<rt::TaskSet> solved_tasks;
+
+  /// True when the witness passed the independent validator (always true
+  /// for witness-backed kFeasible results unless validation was disabled).
+  /// Analytical stages can prove feasibility without constructing a
+  /// witness (detail says which test); schedule is then absent.
+  bool witness_valid = false;
+
+  /// For kInfeasible: whether the verdict is a proof.  False for the EDF
+  /// baseline and for rule-1 CSP2 searches on heterogeneous platforms
+  /// (csp2.hpp header discussion).
+  bool complete = true;
+
+  /// Why a non-decisive verdict happened (DESIGN.md §12): kDeadline /
+  /// kCancelled / kMemory / kNodeBudget for budget outcomes, kInternalError
+  /// or kFaultInjected for contained exceptions.  kNone for decisive
+  /// answers and plain incomplete give-ups.
+  FailureCause cause = FailureCause::kNone;
+
+  /// Provenance: which pipeline stage or backend produced the verdict —
+  /// "analysis:<test>", "flow-oracle", "csp2-presolve",
+  /// "backend:<method>", or "portfolio:<lane>".  A stage or backend that
+  /// leaves it empty is named after itself.
   std::string decided_by;
-  std::vector<StageTiming> stages;  ///< execution order, timed
+  /// Stages (and the backend) in execution order, with verdict and wall
+  /// time each.
+  std::vector<StageTiming> stage_times;
 
-  /// Same semantics as exp::RunRecord::decided_by_presolve: a decisive
-  /// answer from a stage, not from the backend or a portfolio lane.
-  [[nodiscard]] bool decided_by_presolve() const {
-    return result.decisive() && decided_by.rfind("backend:", 0) != 0 &&
-           decided_by.rfind("portfolio:", 0) != 0;
-  }
+  double seconds = 0.0;
+  std::int64_t nodes = 0;
+  std::int64_t failures = 0;
+  /// Nogood-learning stats of the deciding backend (zeros unless a
+  /// generic-engine method with SearchOptions::nogoods ran).
+  NogoodStats nogoods;
+  /// Per-propagator wake/run/prune rows of the deciding backend (empty
+  /// unless a generic-engine method ran; seconds only under
+  /// SearchOptions::prop_profile).
+  std::vector<csp::PropagatorProfile> propagators;
+  std::string detail;  ///< human-readable note (e.g. memory-limit reason)
 };
 
-/// An ordered stage list plus (optionally) a backend.
-class Pipeline {
- public:
-  Pipeline() = default;
-  explicit Pipeline(PipelineOptions options) : options_(options) {}
+/// Runs the stages `options` enables, in line-up order, over a constrained
+/// system.  Each runs behind the stage funnel (DESIGN.md §12): a throwing
+/// stage counts as kUnknown and the next one runs.  Every stage that ran
+/// appends its timing to `report.stage_times`; the first decisive one ends
+/// the chain, its answer becomes `report`, and the call returns true.  An
+/// expired deadline skips the remaining stages.
+[[nodiscard]] bool run_stages(const rt::TaskSet& ts,
+                              const rt::Platform& platform,
+                              const PipelineOptions& options,
+                              const support::Deadline& deadline,
+                              SolveReport& report);
 
-  Pipeline& add(std::unique_ptr<Stage> stage);
-  Pipeline& set_backend(std::unique_ptr<Backend> backend);
-
-  /// Runs the stages in order; stops at the first decisive result.  Skips
-  /// stages that are inapplicable or whose deadline already expired.
-  [[nodiscard]] PipelineOutcome run_stages(const rt::TaskSet& ts,
-                                           const rt::Platform& platform,
-                                           const support::Deadline& deadline)
-      const;
-
-  /// run_stages, then the backend when no stage decided.  Requires a
-  /// backend.
-  [[nodiscard]] PipelineOutcome run(const rt::TaskSet& ts,
-                                    const rt::Platform& platform,
-                                    const SolveConfig& config,
-                                    const support::Deadline& deadline) const;
-
- private:
-  PipelineOptions options_;
-  std::vector<std::unique_ptr<Stage>> stages_;
-  std::unique_ptr<Backend> backend_;
-};
-
-// Built-in stages (pipeline.cpp).
-//
-// `necessary_only` restricts the analysis stage to the infeasible
-// direction; make_pipeline sets it whenever the flow oracle follows, so
-// feasible instances get decided one stage later *with* a constructed
-// witness instead of a witness-less density proof.
-[[nodiscard]] std::unique_ptr<Stage> make_analysis_stage(
-    bool necessary_only = false);
-[[nodiscard]] std::unique_ptr<Stage> make_flow_oracle_stage();
-[[nodiscard]] std::unique_ptr<Stage> make_csp2_presolve_stage();
-
-/// The standard presolve chain selected by `options` (no backend attached).
-[[nodiscard]] Pipeline make_pipeline(const PipelineOptions& options);
+/// The flow-oracle stage on its own (identical platforms, constrained
+/// deadlines): a canonical witness or an infeasibility proof.  kUnknown
+/// with kDeadline or kCancelled once `deadline` stops it between Dinic
+/// phases; kUnknown with kMemory (kFaultInjected for an injected fault)
+/// when the oracle's size guard refuses the network and the density test
+/// cannot stand in.
+[[nodiscard]] SolveReport flow_oracle_stage(const rt::TaskSet& ts,
+                                            const rt::Platform& platform,
+                                            const support::Deadline& deadline);
 
 }  // namespace mgrts::core

@@ -77,179 +77,9 @@ FailureCause infer_cause(Verdict verdict, const support::Deadline& deadline) {
   }
 }
 
-/// The terminal pipeline stage: dispatches to the requested search method.
-/// Containment funnel (DESIGN.md §12): ResourceError surfaces as
-/// kMemoryLimit (Table IV's "-"), injected faults and unexpected exceptions
-/// degrade to kUnknown with cause provenance; only structural
-/// ValidationError (e.g. the flow oracle on a heterogeneous platform)
-/// propagates to the caller as before.
-class MethodBackend final : public Backend {
- public:
-  explicit MethodBackend(Method method) : method_(method) {}
-
-  [[nodiscard]] const char* name() const override {
-    return core::to_string(method_);
-  }
-
-  [[nodiscard]] StageResult run(const rt::TaskSet& ts,
-                                const rt::Platform& platform,
-                                const SolveConfig& config,
-                                const support::Deadline& deadline)
-      const override {
-    StageResult out;
-    try {
-      dispatch(ts, platform, config, deadline, out);
-    } catch (const ValidationError&) {
-      throw;
-    } catch (const FaultInjectedError& e) {
-      out = StageResult{};
-      out.cause = FailureCause::kFaultInjected;
-      out.detail = e.what();
-    } catch (const ResourceError& e) {
-      out = StageResult{};
-      out.verdict = Verdict::kMemoryLimit;
-      out.cause = FailureCause::kMemory;
-      out.detail = e.what();
-    } catch (const std::bad_alloc&) {
-      out = StageResult{};
-      out.verdict = Verdict::kMemoryLimit;
-      out.cause = FailureCause::kMemory;
-      out.detail = "allocation failed during model build or search";
-    } catch (const std::exception& e) {
-      out = StageResult{};
-      out.cause = FailureCause::kInternalError;
-      out.detail = std::string("backend threw: ") + e.what();
-    }
-    if (out.cause == FailureCause::kNone) {
-      out.cause = infer_cause(out.verdict, deadline);
-    }
-    return out;
-  }
-
- private:
-  void dispatch(const rt::TaskSet& ts, const rt::Platform& platform,
-                const SolveConfig& config, const support::Deadline& deadline,
-                StageResult& out) const {
-    switch (method_) {
-      case Method::kCsp1Generic: {
-        auto model = enc::build_csp1(ts, platform, config.limits);
-        csp::SearchOptions options = config.generic;
-        options.deadline = deadline;
-        options.max_nodes = config.max_nodes;
-        const csp::SolveOutcome outcome = model.solver->solve(options);
-        out.verdict = canonical_verdict(outcome.status);
-        out.nodes = outcome.stats.nodes;
-        out.failures = outcome.stats.failures;
-        out.nogoods = to_nogood_stats(outcome.stats);
-        out.propagators = outcome.stats.propagators;
-        if (outcome.status == csp::SolveStatus::kSat) {
-          out.schedule = enc::decode_csp1(model, outcome.assignment);
-        }
-        break;
-      }
-      case Method::kCsp2Generic: {
-        auto model = enc::build_csp2_generic(ts, platform,
-                                             config.csp2_generic,
-                                             config.limits);
-        csp::SearchOptions options = config.generic;
-        options.deadline = deadline;
-        options.max_nodes = config.max_nodes;
-        const csp::SolveOutcome outcome = model.solver->solve(options);
-        out.verdict = canonical_verdict(outcome.status);
-        out.nodes = outcome.stats.nodes;
-        out.failures = outcome.stats.failures;
-        out.nogoods = to_nogood_stats(outcome.stats);
-        out.propagators = outcome.stats.propagators;
-        if (outcome.status == csp::SolveStatus::kSat) {
-          out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
-        }
-        break;
-      }
-      case Method::kCsp2Dedicated: {
-        csp2::Options options = config.csp2;
-        options.deadline = deadline;
-        options.max_nodes = config.max_nodes;
-        csp2::Result result = csp2::solve(ts, platform, options);
-        out.verdict = canonical_verdict(result.status);
-        out.complete = result.search_complete;
-        out.nodes = result.stats.nodes;
-        out.failures = result.stats.failures;
-        out.schedule = std::move(result.schedule);
-        break;
-      }
-      case Method::kFlowOracle: {
-        flow::OracleResult oracle = flow::decide_feasibility(ts, platform);
-        out.verdict = canonical_verdict(oracle.verdict);
-        out.schedule = std::move(oracle.schedule);
-        break;
-      }
-      case Method::kLocalSearch: {
-        ls::Options options = config.localsearch;
-        options.deadline = deadline;
-        ls::Result result = ls::solve(ts, platform, options);
-        out.verdict = canonical_verdict(result.status);
-        out.complete = false;  // can never prove infeasibility (§VIII)
-        out.nodes = result.stats.iterations;
-        out.schedule = std::move(result.schedule);
-        if (out.verdict != Verdict::kFeasible) {
-          out.detail = "min-conflicts gave up at cost " +
-                       std::to_string(result.stats.best_cost);
-        }
-        break;
-      }
-      case Method::kPortfolio: {
-        // The caller's pipeline already ran its presolve stages in front of
-        // this backend; the lanes must not repeat them, and their budget is
-        // what remains of the caller's deadline, not a fresh clock.
-        SolveConfig inner = config;
-        inner.pipeline = PipelineOptions::none();
-        inner.time_limit_ms = deadline.remaining_ms();
-        PortfolioReport race = solve_portfolio(ts, platform, inner);
-        out.verdict = race.report.verdict;
-        out.complete = race.report.complete;
-        out.cause = race.report.cause;
-        out.schedule = std::move(race.report.schedule);
-        out.nodes = race.report.nodes;
-        out.failures = race.report.failures;
-        out.nogoods = race.report.nogoods;
-        out.propagators = std::move(race.report.propagators);
-        out.decided_by = std::move(race.report.decided_by);
-        out.detail =
-            race.winner >= 0
-                ? std::string("portfolio winner: ") +
-                      race.lanes[static_cast<std::size_t>(race.winner)].label
-                : std::string("portfolio: no lane decided");
-        break;
-      }
-      case Method::kEdfSimulation: {
-        sim::SimOptions options;
-        options.policy = sim::Policy::kEdf;
-        const sim::SimResult result = sim::simulate(ts, platform, options);
-        out.complete = false;  // EDF is not an optimal global policy
-        if (result.status == sim::SimStatus::kSchedulable) {
-          out.verdict = Verdict::kFeasible;
-          if (result.schedule.has_value()) {
-            out.schedule = result.schedule;
-          } else {
-            // Schedulable with a steady state longer than one hyperperiod:
-            // no compact witness to validate.
-            out.detail = "schedulable; steady state period exceeds T";
-          }
-        } else {
-          out.verdict = Verdict::kInfeasible;
-          out.detail = std::string("EDF ") + sim::to_string(result.status);
-        }
-        break;
-      }
-    }
-  }
-
-  Method method_;
-};
-
-/// Witness validation shared by solve_instance and the portfolio's
-/// presolve short-circuit: re-checks any schedule with the independent
-/// validator and flags solver bugs loudly.
+/// Witness validation shared by every report the spine finishes: re-checks
+/// any schedule with the independent validator and flags solver bugs
+/// loudly.
 void validate_report(const rt::TaskSet& ts, const rt::Platform& platform,
                      const SolveConfig& config, SolveReport& report) {
   if (report.schedule.has_value() && config.validate_witness) {
@@ -270,47 +100,235 @@ void validate_report(const rt::TaskSet& ts, const rt::Platform& platform,
   }
 }
 
-/// Lifts a pipeline stage/backend result into the public report shape.
-SolveReport to_report(PipelineOutcome&& outcome) {
-  SolveReport report;
-  report.verdict = outcome.result.verdict;
-  report.complete = outcome.result.complete;
-  report.cause = outcome.result.cause;
-  report.schedule = std::move(outcome.result.schedule);
-  report.nodes = outcome.result.nodes;
-  report.failures = outcome.result.failures;
-  report.nogoods = outcome.result.nogoods;
-  report.propagators = std::move(outcome.result.propagators);
-  report.detail = std::move(outcome.result.detail);
-  report.decided_by = std::move(outcome.decided_by);
-  report.stage_times = std::move(outcome.stages);
-  return report;
+/// The requested search method, run to its own end.  Every arm fills a
+/// fresh report, so a throw leaves nothing half-written behind.
+SolveReport dispatch(const rt::TaskSet& ts, const rt::Platform& platform,
+                     const SolveConfig& config,
+                     const support::Deadline& deadline) {
+  SolveReport out;
+  switch (config.method) {
+    case Method::kCsp1Generic: {
+      auto model = enc::build_csp1(ts, platform, config.limits);
+      csp::SearchOptions options = config.generic;
+      options.deadline = deadline;
+      options.max_nodes = config.max_nodes;
+      const csp::SolveOutcome outcome = model.solver->solve(options);
+      out.verdict = canonical_verdict(outcome.status);
+      out.nodes = outcome.stats.nodes;
+      out.failures = outcome.stats.failures;
+      out.nogoods = to_nogood_stats(outcome.stats);
+      out.propagators = outcome.stats.propagators;
+      if (outcome.status == csp::SolveStatus::kSat) {
+        out.schedule = enc::decode_csp1(model, outcome.assignment);
+      }
+      break;
+    }
+    case Method::kCsp2Generic: {
+      auto model = enc::build_csp2_generic(ts, platform, config.csp2_generic,
+                                           config.limits);
+      csp::SearchOptions options = config.generic;
+      options.deadline = deadline;
+      options.max_nodes = config.max_nodes;
+      const csp::SolveOutcome outcome = model.solver->solve(options);
+      out.verdict = canonical_verdict(outcome.status);
+      out.nodes = outcome.stats.nodes;
+      out.failures = outcome.stats.failures;
+      out.nogoods = to_nogood_stats(outcome.stats);
+      out.propagators = outcome.stats.propagators;
+      if (outcome.status == csp::SolveStatus::kSat) {
+        out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
+      }
+      break;
+    }
+    case Method::kCsp2Dedicated: {
+      csp2::Options options = config.csp2;
+      options.deadline = deadline;
+      options.max_nodes = config.max_nodes;
+      csp2::Result result = csp2::solve(ts, platform, options);
+      out.verdict = canonical_verdict(result.status);
+      out.complete = result.search_complete;
+      out.nodes = result.stats.nodes;
+      out.failures = result.stats.failures;
+      out.schedule = std::move(result.schedule);
+      break;
+    }
+    case Method::kFlowOracle: {
+      flow::OracleResult oracle = flow::decide_feasibility(ts, platform);
+      out.verdict = canonical_verdict(oracle.verdict);
+      out.schedule = std::move(oracle.schedule);
+      break;
+    }
+    case Method::kLocalSearch: {
+      ls::Options options = config.localsearch;
+      options.deadline = deadline;
+      ls::Result result = ls::solve(ts, platform, options);
+      out.verdict = canonical_verdict(result.status);
+      out.complete = false;  // can never prove infeasibility (§VIII)
+      out.nodes = result.stats.iterations;
+      out.schedule = std::move(result.schedule);
+      if (out.verdict != Verdict::kFeasible) {
+        out.detail = "min-conflicts gave up at cost " +
+                     std::to_string(result.stats.best_cost);
+      }
+      break;
+    }
+    case Method::kPortfolio: {
+      // The stages already ran in front of this backend; the lanes must
+      // not repeat them, and their budget is what remains of the caller's
+      // deadline, not a fresh clock.  The race's report is the answer;
+      // the spine replaces its timings, wall time and clone system.
+      SolveConfig inner = config;
+      inner.pipeline = PipelineOptions::none();
+      inner.time_limit_ms = deadline.remaining_ms();
+      PortfolioReport race = solve_portfolio(ts, platform, inner);
+      out = std::move(race.report);
+      out.detail =
+          race.winner >= 0
+              ? std::string("portfolio winner: ") +
+                    race.lanes[static_cast<std::size_t>(race.winner)].label
+              : std::string("portfolio: no lane decided");
+      break;
+    }
+    case Method::kEdfSimulation: {
+      sim::SimOptions options;
+      options.policy = sim::Policy::kEdf;
+      sim::SimResult result = sim::simulate(ts, platform, options);
+      out.complete = false;  // EDF is not an optimal global policy
+      if (result.status == sim::SimStatus::kSchedulable) {
+        out.verdict = Verdict::kFeasible;
+        if (result.schedule.has_value()) {
+          out.schedule = std::move(result.schedule);
+        } else {
+          // Schedulable with a steady state longer than one hyperperiod:
+          // no compact witness to validate.
+          out.detail = "schedulable; steady state period exceeds T";
+        }
+      } else {
+        out.verdict = Verdict::kInfeasible;
+        out.detail = std::string("EDF ") + sim::to_string(result.status);
+      }
+      break;
+    }
+  }
+  return out;
 }
+
+/// Runs the backend behind the backend funnel (DESIGN.md §12) once no
+/// stage decided.  ResourceError surfaces as kMemoryLimit (Table IV's
+/// "-"), injected faults and unexpected exceptions degrade to kUnknown with
+/// cause provenance; only structural ValidationError (e.g. the flow oracle
+/// on a heterogeneous platform) propagates to the caller.  The backend's
+/// answer, whatever it is, becomes `report`, after the stages' timings and
+/// its own.
+void run_backend(const rt::TaskSet& ts, const rt::Platform& platform,
+                 const SolveConfig& config, const support::Deadline& deadline,
+                 SolveReport& report) {
+  const char* name = to_string(config.method);
+  support::Stopwatch watch;
+  SolveReport out;
+  try {
+    out = dispatch(ts, platform, config, deadline);
+  } catch (const ValidationError&) {
+    throw;
+  } catch (const FaultInjectedError& e) {
+    out.cause = FailureCause::kFaultInjected;
+    out.detail = e.what();
+  } catch (const ResourceError& e) {
+    out.verdict = Verdict::kMemoryLimit;
+    out.cause = FailureCause::kMemory;
+    out.detail = e.what();
+  } catch (const std::bad_alloc&) {
+    out.verdict = Verdict::kMemoryLimit;
+    out.cause = FailureCause::kMemory;
+    out.detail = "allocation failed during model build or search";
+  } catch (const std::exception& e) {
+    out.cause = FailureCause::kInternalError;
+    out.detail = std::string("backend threw: ") + e.what();
+  }
+  if (out.cause == FailureCause::kNone) {
+    out.cause = infer_cause(out.verdict, deadline);
+  }
+  if (out.decided_by.empty()) out.decided_by = std::string("backend:") + name;
+  report.stage_times.push_back(StageTiming{name, out.verdict, watch.seconds()});
+  out.stage_times = std::move(report.stage_times);
+  report = std::move(out);
+}
+
+support::Deadline deadline_for(const SolveConfig& config) {
+  auto deadline = config.time_limit_ms < 0
+                      ? support::Deadline()
+                      : support::Deadline::after_ms(config.time_limit_ms);
+  deadline.set_cancel(config.cancel);
+  if (config.heartbeat) deadline.set_heartbeat(config.heartbeat);
+  return deadline;
+}
+
+/// What solve_instance and the portfolio share around their stages: §VI-B
+/// clone expansion (every downstream component expects constrained
+/// deadlines), the wall budget, and, once a report stands, its clone
+/// system, witness check and wall time.
+struct Spine {
+  Spine(const rt::TaskSet& input, const SolveConfig& config)
+      : clones(input.is_constrained()
+                   ? std::nullopt
+                   : std::optional<rt::TaskSet>(input.to_constrained())),
+        ts(clones ? *clones : input),
+        deadline(deadline_for(config)) {}
+  Spine(const Spine&) = delete;
+
+  /// Ends the spine: the clone system moves into the report.
+  void finish(const rt::Platform& platform, const SolveConfig& config,
+              SolveReport& report) {
+    validate_report(ts, platform, config, report);
+    report.solved_tasks = std::move(clones);
+    report.seconds = watch.seconds();
+  }
+
+  support::Stopwatch watch;
+  std::optional<rt::TaskSet> clones;
+  const rt::TaskSet& ts;
+  support::Deadline deadline;
+};
 
 }  // namespace
 
 SolveReport solve_instance(const rt::TaskSet& input,
                            const rt::Platform& platform,
                            const SolveConfig& config) {
+  Spine spine(input, config);
+  SolveReport report;
+  if (!run_stages(spine.ts, platform, config.pipeline, spine.deadline,
+                  report)) {
+    run_backend(spine.ts, platform, config, spine.deadline, report);
+  }
+  spine.finish(platform, config, report);
+  return report;
+}
+
+SolveReport solve_contained(const rt::TaskSet& ts,
+                            const rt::Platform& platform,
+                            const SolveConfig& config,
+                            std::optional<std::string>* escaped) {
   support::Stopwatch watch;
-
-  // §VI-B: arbitrary-deadline systems are solved through their clone
-  // expansion; every downstream component expects constrained deadlines.
-  const bool cloned = !input.is_constrained();
-  const rt::TaskSet ts = cloned ? input.to_constrained() : input;
-
-  auto deadline = config.time_limit_ms < 0
-                      ? support::Deadline()
-                      : support::Deadline::after_ms(config.time_limit_ms);
-  deadline.set_cancel(config.cancel);
-  if (config.heartbeat) deadline.set_heartbeat(config.heartbeat);
-
-  Pipeline pipeline = make_pipeline(config.pipeline);
-  pipeline.set_backend(std::make_unique<MethodBackend>(config.method));
-  SolveReport report = to_report(pipeline.run(ts, platform, config, deadline));
-  if (cloned) report.solved_tasks = ts;
-
-  validate_report(ts, platform, config, report);
+  SolveReport report;
+  std::string what;
+  try {
+    return solve_instance(ts, platform, config);
+  } catch (const FaultInjectedError& e) {
+    report.cause = FailureCause::kFaultInjected;
+    what = e.what();
+  } catch (const ResourceError& e) {
+    report.cause = FailureCause::kMemory;
+    what = e.what();
+  } catch (const std::exception& e) {
+    report.cause = FailureCause::kInternalError;
+    what = e.what();
+  }
+  report.complete = false;
+  report.detail = report.cause == FailureCause::kInternalError
+                      ? "job threw: " + what
+                      : what;
+  if (escaped != nullptr) *escaped = std::move(what);
   report.seconds = watch.seconds();
   return report;
 }
@@ -318,35 +336,20 @@ SolveReport solve_instance(const rt::TaskSet& input,
 PortfolioReport solve_portfolio(const rt::TaskSet& input,
                                 const rt::Platform& platform,
                                 const SolveConfig& config) {
-  support::Stopwatch watch;
-
-  const bool cloned = !input.is_constrained();
-  const rt::TaskSet ts = cloned ? input.to_constrained() : input;
-
-  auto race_deadline = config.time_limit_ms < 0
-                           ? support::Deadline()
-                           : support::Deadline::after_ms(config.time_limit_ms);
-  race_deadline.set_cancel(config.cancel);
-
+  Spine spine(input, config);
+  const rt::TaskSet& ts = spine.ts;
   PortfolioReport out;
 
   // Presolve prefilter: the pipeline stages run once, before any lane
   // launches.  A decisive stage answer is the portfolio's answer — no lane
   // ever starts, which is where the flow oracle converts whole identical-
   // platform workloads into polynomial time.
-  {
-    PipelineOutcome pre =
-        make_pipeline(config.pipeline).run_stages(ts, platform, race_deadline);
-    out.presolve = pre.stages;
-    if (pre.result.decisive()) {
-      out.report = to_report(std::move(pre));
-      if (cloned) out.report.solved_tasks = ts;
-      validate_report(ts, platform, config, out.report);
-      out.report.seconds = watch.seconds();
-      out.seconds = watch.seconds();
-      return out;
-    }
+  if (run_stages(ts, platform, config.pipeline, spine.deadline, out.report)) {
+    spine.finish(platform, config, out.report);
+    out.seconds = out.report.seconds;
+    return out;
   }
+  std::vector<StageTiming> presolve = std::move(out.report.stage_times);
 
   struct Lane {
     std::string label;
@@ -360,7 +363,7 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // are concrete, so no recursion.
   SolveConfig lane_base = config;
   lane_base.pipeline = PipelineOptions::none();
-  lane_base.time_limit_ms = race_deadline.remaining_ms();
+  lane_base.time_limit_ms = spine.deadline.remaining_ms();
 
   // The four dedicated value-order lanes, configured like exp::csp2_spec.
   for (const csp2::ValueOrder order : csp2::informed_value_orders()) {
@@ -506,35 +509,16 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // wall-clock deadlines, which deliberate oversubscription preserves even
   // on a single hardware thread (parallel_for_index honors workers beyond
   // the shared pool with a dedicated pool).  A throwing lane is contained
-  // into its report — one crashed lane must never kill the race.
+  // into its report by the solve funnel — one crashed lane must never kill
+  // the race.
   const std::size_t workers = config.portfolio.workers == 0
                                   ? n_lanes
                                   : config.portfolio.workers;
   support::parallel_for_index(n_lanes, workers, [&](std::size_t k) {
     started[k].store(true, std::memory_order_release);
-    try {
-      reports[k] = solve_instance(ts, platform, lanes[k].config);
-      if (decisive(reports[k].verdict, reports[k].complete)) {
-        token.cancel();  // decisive: the race is over, stop the losers
-      }
-    } catch (const FaultInjectedError& e) {
-      reports[k] = SolveReport{};
-      reports[k].verdict = Verdict::kUnknown;
-      reports[k].cause = FailureCause::kFaultInjected;
-      reports[k].complete = false;
-      reports[k].detail = e.what();
-    } catch (const ResourceError& e) {
-      reports[k] = SolveReport{};
-      reports[k].verdict = Verdict::kUnknown;
-      reports[k].cause = FailureCause::kMemory;
-      reports[k].complete = false;
-      reports[k].detail = e.what();
-    } catch (const std::exception& e) {
-      reports[k] = SolveReport{};
-      reports[k].verdict = Verdict::kUnknown;
-      reports[k].cause = FailureCause::kInternalError;
-      reports[k].complete = false;
-      reports[k].detail = std::string("lane threw: ") + e.what();
+    reports[k] = solve_contained(ts, platform, lanes[k].config);
+    if (decisive(reports[k].verdict, reports[k].complete)) {
+      token.cancel();  // decisive: the race is over, stop the losers
     }
     finished[k].store(true, std::memory_order_release);
   });
@@ -562,70 +546,22 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
       out.winner = static_cast<std::int32_t>(k);
     }
   }
-  out.report = out.winner >= 0
-                   ? reports[static_cast<std::size_t>(out.winner)]
-                   : reports.front();
+  const std::size_t headline =
+      out.winner >= 0 ? static_cast<std::size_t>(out.winner) : 0;
+  out.report = std::move(reports[headline]);
   // Honest provenance either way: the winning lane, or an explicit "none"
   // instead of whatever backend label lane 0's undecided run carried.
-  out.report.decided_by =
-      out.winner >= 0
-          ? "portfolio:" + lanes[static_cast<std::size_t>(out.winner)].label
-          : std::string("portfolio:none");
+  out.report.decided_by = out.winner >= 0
+                              ? "portfolio:" + lanes[headline].label
+                              : std::string("portfolio:none");
   // Provenance for callers that only see the headline report: the presolve
   // stages ran (undecided) before the race.
   out.report.stage_times.insert(out.report.stage_times.begin(),
-                                out.presolve.begin(), out.presolve.end());
-  if (cloned) out.report.solved_tasks = ts;
-  out.seconds = watch.seconds();
+                                presolve.begin(), presolve.end());
+  if (spine.clones) out.report.solved_tasks = std::move(spine.clones);
+  out.seconds = spine.watch.seconds();
   return out;
 }
-
-namespace {
-
-/// True for failures worth a retry: transient crash-type causes, not
-/// legitimate budget outcomes (a deadline or node-limit report is the
-/// answer, not an accident).
-bool crash_type(FailureCause cause) {
-  return cause == FailureCause::kMemory ||
-         cause == FailureCause::kInternalError ||
-         cause == FailureCause::kFaultInjected;
-}
-
-/// solve_instance with every escape hatch closed: whatever the run throws
-/// (ValidationError included — a batch must never lose a record) becomes a
-/// kUnknown report with cause provenance.
-SolveReport contained_solve(const BatchJob& job, const SolveConfig& config) {
-  support::Stopwatch watch;
-  try {
-    return solve_instance(job.tasks, job.platform, config);
-  } catch (const FaultInjectedError& e) {
-    SolveReport report;
-    report.verdict = Verdict::kUnknown;
-    report.cause = FailureCause::kFaultInjected;
-    report.complete = false;
-    report.detail = e.what();
-    report.seconds = watch.seconds();
-    return report;
-  } catch (const ResourceError& e) {
-    SolveReport report;
-    report.verdict = Verdict::kUnknown;
-    report.cause = FailureCause::kMemory;
-    report.complete = false;
-    report.detail = e.what();
-    report.seconds = watch.seconds();
-    return report;
-  } catch (const std::exception& e) {
-    SolveReport report;
-    report.verdict = Verdict::kUnknown;
-    report.cause = FailureCause::kInternalError;
-    report.complete = false;
-    report.detail = std::string("job threw: ") + e.what();
-    report.seconds = watch.seconds();
-    return report;
-  }
-}
-
-}  // namespace
 
 std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
                                      const BatchPolicy& policy,
@@ -639,7 +575,8 @@ std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
     const std::int32_t attempts = std::max(policy.max_attempts, 1);
     bool ever_failed = false;
     for (std::int32_t attempt = 1;; ++attempt) {
-      SolveReport report = contained_solve(jobs[k], config);
+      SolveReport report =
+          solve_contained(jobs[k].tasks, jobs[k].platform, config);
       const bool failed = crash_type(report.cause);
       if (failed) {
         ever_failed = true;

@@ -1,5 +1,4 @@
-// Public facade: solve one MGRTS instance with a chosen method, through
-// the staged presolve->backend pipeline (core/pipeline.hpp).
+// Public facade: solve one MGRTS instance with a chosen method.
 //
 // Backends (Method):
 //   kCsp1Generic    — the paper's CSP1 route: boolean encoding (§IV) handed
@@ -16,10 +15,11 @@
 //   kEdfSimulation  — global EDF baseline (incomplete: a deadline miss does
 //                     not prove infeasibility).
 //
-// Every method runs behind the presolve stages selected by
-// `SolveConfig::pipeline` (exact analytical tests and the flow oracle by
-// default), so cheap proofs short-circuit search uniformly;
-// `SolveReport::decided_by` records which stage or backend answered.
+// Every solve runs one spine: the presolve stages selected by
+// `SolveConfig::pipeline` (core/pipeline.hpp; exact analytical tests and
+// the flow oracle by default), then, when none decides, the method's
+// backend behind its funnel (DESIGN.md §12).  Stages and backend fill one
+// SolveReport; `SolveReport::decided_by` records which of them answered.
 // `PipelineOptions::none()` restores the paper-faithful direct-method
 // behavior (exp::paper_lineup uses it).
 //
@@ -140,57 +140,20 @@ struct SolveConfig {
 /// between executions corresponds to varying `seed`.
 [[nodiscard]] csp::SearchOptions choco_like_defaults(std::uint64_t seed);
 
-struct SolveReport {
-  Verdict verdict = Verdict::kInfeasible;
-  std::optional<rt::Schedule> schedule;  ///< present iff a witness exists
-
-  /// The constrained-deadline system the schedule refers to (differs from
-  /// the input when clones were expanded).
-  std::optional<rt::TaskSet> solved_tasks;
-
-  /// True when the witness passed the independent validator (always true
-  /// for witness-backed kFeasible results unless validation was disabled).
-  /// Analytical stages can prove feasibility without constructing a
-  /// witness (detail says which test); schedule is then absent.
-  bool witness_valid = false;
-
-  /// For kInfeasible: whether the verdict is a proof.  False for the EDF
-  /// baseline and for rule-1 CSP2 searches on heterogeneous platforms
-  /// (csp2.hpp header discussion).
-  bool complete = true;
-
-  /// Why a non-decisive verdict happened (DESIGN.md §12): kDeadline /
-  /// kCancelled / kMemory / kNodeBudget for budget outcomes, kInternalError
-  /// or kFaultInjected for contained exceptions.  kNone for decisive
-  /// answers and plain incomplete give-ups.
-  FailureCause cause = FailureCause::kNone;
-
-  /// Provenance: which pipeline stage or backend produced the verdict —
-  /// "analysis:<test>", "flow-oracle", "csp2-presolve",
-  /// "backend:<method>", or "portfolio:<lane>".
-  std::string decided_by;
-  /// Stages (and the backend) in execution order, with verdict and wall
-  /// time each.
-  std::vector<StageTiming> stage_times;
-
-  double seconds = 0.0;
-  std::int64_t nodes = 0;
-  std::int64_t failures = 0;
-  /// Nogood-learning stats of the deciding backend (zeros unless a
-  /// generic-engine method with SearchOptions::nogoods ran).
-  NogoodStats nogoods;
-  /// Per-propagator wake/run/prune rows of the deciding backend (empty
-  /// unless a generic-engine method ran; seconds only under
-  /// SearchOptions::prop_profile).
-  std::vector<csp::PropagatorProfile> propagators;
-  std::string detail;  ///< human-readable note (e.g. memory-limit reason)
-};
-
 /// Solves the instance.  Throws ValidationError for structurally invalid
 /// requests (e.g. the flow oracle on a heterogeneous platform).
 [[nodiscard]] SolveReport solve_instance(const rt::TaskSet& ts,
                                          const rt::Platform& platform,
                                          const SolveConfig& config = {});
+
+/// solve_instance behind the solve funnel (DESIGN.md §12): whatever the run
+/// throws (ValidationError included) becomes a kUnknown report with cause
+/// provenance, so a batch never loses a record.  `escaped`, when given,
+/// receives the message of an exception that escaped solve_instance.
+[[nodiscard]] SolveReport solve_contained(
+    const rt::TaskSet& ts, const rt::Platform& platform,
+    const SolveConfig& config,
+    std::optional<std::string>* escaped = nullptr);
 
 /// Per-lane outcome of a portfolio race (losers report kTimeout once the
 /// winner cancels them — indistinguishable from a genuine budget expiry,
@@ -210,12 +173,11 @@ struct PortfolioReport {
   /// The decisive report: the presolve stages' when they decided before
   /// any lane launched (winner == -1, lanes empty), else the winning
   /// lane's; when nobody decides, lane 0's report (a timeout) so callers
-  /// can treat this like any SolveReport.
+  /// can treat this like any SolveReport.  Its stage_times start with the
+  /// presolve stages that ran.
   SolveReport report;
   std::int32_t winner = -1;  ///< index into lanes; -1 = no lane decided
   std::vector<LaneOutcome> lanes;
-  /// Presolve stage timings (also mirrored into report.stage_times).
-  std::vector<StageTiming> presolve;
   double seconds = 0.0;  ///< race wall time (not the sum over lanes)
 };
 
@@ -270,6 +232,16 @@ struct BatchHealth {
   std::int64_t quarantined = 0; ///< jobs that exhausted every attempt
   std::vector<std::size_t> quarantined_jobs;  ///< their indices, ascending
   std::string first_error;      ///< first contained failure, human-readable
+
+  /// Adds another batch's counts and keeps the first error seen.  Job
+  /// indices belong to their own batch, so `quarantined_jobs` stays as is.
+  void merge(const BatchHealth& other) {
+    failures += other.failures;
+    retries += other.retries;
+    recovered += other.recovered;
+    quarantined += other.quarantined;
+    if (first_error.empty()) first_error = other.first_error;
+  }
 };
 
 /// Solves every job, fanning the independent runs over the shared thread

@@ -45,10 +45,10 @@ enum class Verdict {
 [[nodiscard]] const char* to_string(Verdict verdict);
 
 /// Why a run failed to decide (DESIGN.md §12).  Carried next to
-/// `decided_by` on StageResult / SolveReport / exp::RunRecord so every
-/// non-decisive verdict explains itself.  kNone for decisive answers and
-/// for plain incomplete give-ups (an analysis filter that did not fire,
-/// min-conflicts running dry) — those are ordinary outcomes, not failures.
+/// `decided_by` on SolveReport / exp::RunRecord so every non-decisive
+/// verdict explains itself.  kNone for decisive answers and for plain
+/// incomplete give-ups (an analysis filter that did not fire, min-conflicts
+/// running dry) — those are ordinary outcomes, not failures.
 enum class FailureCause {
   kNone,
   kDeadline,       ///< wall-clock budget expired
@@ -67,6 +67,15 @@ enum class FailureCause {
                                       bool complete) noexcept {
   return verdict == Verdict::kFeasible ||
          (verdict == Verdict::kInfeasible && complete);
+}
+
+/// A crash-type cause: the run did not finish on its own terms (memory, an
+/// internal error, an injected fault), so a retry may help.  Budget causes
+/// (deadline, node budget, cancellation) are legitimate answers.
+[[nodiscard]] constexpr bool crash_type(FailureCause cause) noexcept {
+  return cause == FailureCause::kMemory ||
+         cause == FailureCause::kInternalError ||
+         cause == FailureCause::kFaultInjected;
 }
 
 // The canonical mappings.  Every switch over a frontend enum lives behind

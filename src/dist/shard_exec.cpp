@@ -67,13 +67,7 @@ ShardExecution execute_shard(const serve::ShardRequest& request,
     core::BatchHealth health;
     std::vector<core::SolveReport> reports =
         core::solve_batch(jobs, policy, &health);
-    out.health.failures += health.failures;
-    out.health.retries += health.retries;
-    out.health.recovered += health.recovered;
-    out.health.quarantined += health.quarantined;
-    if (out.health.first_error.empty()) {
-      out.health.first_error = health.first_error;
-    }
+    out.health.merge(health);
 
     record.runs.reserve(reports.size());
     for (core::SolveReport& report : reports) {

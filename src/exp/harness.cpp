@@ -1,10 +1,10 @@
 #include "exp/harness.hpp"
 
-#include <exception>
 #include <mutex>
+#include <optional>
+#include <string>
 
 #include "support/assert.hpp"
-#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace mgrts::exp {
@@ -262,13 +262,6 @@ BatchResult run_batch(const BatchOptions& options,
   // regardless of worker scheduling.  Library users with independent
   // instances should prefer core::solve_batch.
   std::mutex health_mutex;
-  const auto note_failure = [&](const char* what) {
-    std::lock_guard<std::mutex> lock(health_mutex);
-    ++result.health.failures;
-    ++result.health.quarantined;
-    if (result.health.first_error.empty()) result.health.first_error = what;
-  };
-
   const std::size_t total_runs = count * specs.size();
   support::parallel_for_index(total_runs, options.workers,
                               [&](std::size_t flat) {
@@ -284,26 +277,20 @@ BatchResult run_batch(const BatchOptions& options,
     // Containment: a run that throws (an injected fault, a resource wall,
     // an internal error) still yields its RunRecord slot — one crashed
     // (instance, solver) pair must never lose the rest of a Table IV
-    // batch.  Verdict tables stay complete; the cause says why.
-    core::SolveReport report;
-    try {
-      report = core::solve_instance(
-          inst.tasks, rt::Platform::identical(inst.processors), config);
-    } catch (const FaultInjectedError& e) {
-      report.verdict = core::Verdict::kUnknown;
-      report.complete = false;
-      report.cause = core::FailureCause::kFaultInjected;
-      note_failure(e.what());
-    } catch (const ResourceError& e) {
-      report.verdict = core::Verdict::kUnknown;
-      report.complete = false;
-      report.cause = core::FailureCause::kMemory;
-      note_failure(e.what());
-    } catch (const std::exception& e) {
-      report.verdict = core::Verdict::kUnknown;
-      report.complete = false;
-      report.cause = core::FailureCause::kInternalError;
-      note_failure(e.what());
+    // batch.  Verdict tables stay complete; the cause says why.  Only
+    // such escapes count as failures here: a run whose backend contained
+    // its own fault is an ordinary record.
+    std::optional<std::string> escaped;
+    core::SolveReport report = core::solve_contained(
+        inst.tasks, rt::Platform::identical(inst.processors), config,
+        &escaped);
+    if (escaped) {
+      std::lock_guard<std::mutex> lock(health_mutex);
+      ++result.health.failures;
+      ++result.health.quarantined;
+      if (result.health.first_error.empty()) {
+        result.health.first_error = std::move(*escaped);
+      }
     }
 
     result.instances[k].runs[s] = record_from_report(std::move(report));

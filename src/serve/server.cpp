@@ -97,7 +97,7 @@ void Server::run() {
     pool_->submit([this, shared] { handle_connection(std::move(*shared)); });
   }
   // Graceful drain: no new connections, in-flight solves cancelled
-  // cooperatively, handlers notice stopping_ at their next poll.
+  // cooperatively, idle handlers woken by their connection's EOF.
   request_stop();
   stop_token_.cancel();
   pool_->wait_idle();
@@ -114,6 +114,10 @@ void Server::request_stop() {
   }
   stop_wake_.notify_all();
   wake_.notify();
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  for (const support::Fd* connection : connections_) {
+    connection->shutdown_read();
+  }
 }
 
 void Server::stop() {
@@ -131,6 +135,22 @@ void Server::stop() {
 }
 
 void Server::handle_connection(support::Fd connection) {
+  // Registered while it is served (see connections_).  A handler that
+  // registers after request_stop() swept the list sees stopping_ here.
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    if (stopping_.load(std::memory_order_relaxed)) return;
+    connections_.push_back(&connection);
+  }
+  struct Registration {
+    Server& server;
+    const support::Fd* connection;
+    ~Registration() {
+      std::lock_guard<std::mutex> lock(server.connections_mutex_);
+      std::erase(server.connections_, connection);
+    }
+  } registration{*this, &connection};
+
   while (!stopping_.load(std::memory_order_relaxed)) {
     bool readable = false;
     try {

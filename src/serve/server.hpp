@@ -56,8 +56,7 @@ struct ServerOptions {
   std::int64_t watchdog_stall_ms = 5'000;
   /// Timeout of the accept loop's and idle connections' waits — a poll
   /// point for the stop flags, not a client deadline (the loop continues
-  /// on timeout).  A stop or a shutdown request wakes the accept loop's
-  /// wait at once; an idle connection still notices at its next poll.
+  /// on timeout).  A stop or a shutdown request ends both waits at once.
   std::int64_t poll_interval_ms = 200;
   ServiceOptions service;
 };
@@ -148,8 +147,8 @@ class Server {
   /// here, so the Service path still parses once.
   const Route* route_for(const std::string& payload, Message& request) const;
   void watchdog_loop();
-  /// Sets stopping_ and wakes the watchdog and the accept loop out of
-  /// their waits.
+  /// Sets stopping_ and wakes the watchdog, the accept loop and every idle
+  /// connection handler out of their waits.
   void request_stop();
 
   ServerOptions options_;
@@ -170,6 +169,12 @@ class Server {
 
   std::mutex slots_mutex_;
   std::vector<std::shared_ptr<RequestSlot>> slots_;
+
+  /// The connections being handled.  request_stop() shuts down their read
+  /// side, so a handler idle in its poll sees EOF at once; an answer in
+  /// flight still goes out.
+  std::mutex connections_mutex_;
+  std::vector<const support::Fd*> connections_;
 
   std::unique_ptr<support::ThreadPool> pool_;
   std::thread watchdog_;

@@ -206,15 +206,12 @@ Message Service::handle_solve(const Message& request,
       &health);
   const core::SolveReport& report = reports.front();
 
-  const bool crash_cause = report.cause == core::FailureCause::kMemory ||
-                           report.cause == core::FailureCause::kInternalError ||
-                           report.cause == core::FailureCause::kFaultInjected;
   const bool decisive = core::decisive(report.verdict, report.complete);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.solved;
     if (decisive) ++counters_.decided;
-    if (crash_cause) ++counters_.degraded;
+    if (core::crash_type(report.cause)) ++counters_.degraded;
     counters_.retried += health.retries;
     counters_.recovered += health.recovered;
     counters_.quarantined += health.quarantined;

@@ -105,11 +105,11 @@ gen::ParamOrder order_from(const std::string& text) {
 // --------------------------------------------------- run-record body text
 //
 // One RunRecord serializes to a "run" line (verdict, flags, cause, nodes,
-// seconds, decided-by) followed by an optional "ng" line (the 13
-// NogoodStats counters, emitted only when any is nonzero) and one "prop"
-// line per propagator row.  seconds travel as %.17g so the double
-// round-trips bit-exactly — record identity across the wire is the whole
-// point of this layer.
+// seconds, decided-by) followed by an optional "ng" line (the 11
+// NogoodStats counters in core::kNogoodCounters order, emitted only when
+// any is nonzero) and one "prop" line per propagator row.  seconds travel
+// as %.17g so the double round-trips bit-exactly — record identity across
+// the wire is the whole point of this layer.
 
 void append_run(std::string& body, const exp::RunRecord& run) {
   body += "run ";
@@ -127,21 +127,11 @@ void append_run(std::string& body, const exp::RunRecord& run) {
   body += run.decided_by.empty() ? "-" : run.decided_by;
   body += '\n';
 
-  const core::NogoodStats& ng = run.nogoods;
-  const bool any_ng = ng.recorded != 0 || ng.imported != 0 ||
-                      ng.exported != 0 || ng.replay_hits != 0 ||
-                      ng.lits_before != 0 || ng.lits_after != 0 ||
-                      ng.subsumed != 0 || ng.lbd_refreshed != 0 ||
-                      ng.backjumps != 0 || ng.backjump_levels_saved != 0 ||
-                      ng.lits_minimized != 0;
-  if (any_ng) {
+  if (run.nogoods != core::NogoodStats{}) {
     body += "ng";
-    for (const std::int64_t value :
-         {ng.recorded, ng.imported, ng.exported, ng.replay_hits,
-          ng.lits_before, ng.lits_after, ng.subsumed, ng.lbd_refreshed,
-          ng.backjumps, ng.backjump_levels_saved, ng.lits_minimized}) {
+    for (const auto counter : core::kNogoodCounters) {
       body += ' ';
-      body += std::to_string(value);
+      body += std::to_string(run.nogoods.*counter);
     }
     body += '\n';
   }
@@ -350,19 +340,14 @@ ShardRow parse_shard_row(const Message& message) {
     exp::RunRecord& run = row.record.runs.back();
     if (line.rfind("ng ", 0) == 0) {
       const std::vector<std::string> tokens = split_tokens(line);
-      core::NogoodStats& ng = run.nogoods;
-      std::int64_t* fields[] = {
-          &ng.recorded,    &ng.imported,      &ng.exported,
-          &ng.replay_hits, &ng.lits_before,   &ng.lits_after,
-          &ng.subsumed,    &ng.lbd_refreshed, &ng.backjumps,
-          &ng.backjump_levels_saved, &ng.lits_minimized};
-      constexpr std::size_t kCounters = std::size(fields);
+      constexpr std::size_t kCounters = std::size(core::kNogoodCounters);
       if (tokens.size() != kCounters + 1) {
         throw ProtocolError("ng line needs " + std::to_string(kCounters) +
                             " counters: '" + line + "'");
       }
       for (std::size_t i = 0; i < kCounters; ++i) {
-        *fields[i] = parse_i64(tokens[i + 1], "ng counter");
+        run.nogoods.*core::kNogoodCounters[i] =
+            parse_i64(tokens[i + 1], "ng counter");
       }
       continue;
     }

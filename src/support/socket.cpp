@@ -74,6 +74,10 @@ void Fd::shutdown() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+void Fd::shutdown_read() const noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+}
+
 Fd listen_unix(const std::string& path, int backlog) {
   const sockaddr_un addr = unix_address(path);
   Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));

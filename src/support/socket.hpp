@@ -58,6 +58,9 @@ class Fd {
   /// shutdown(2) both directions — unblocks a peer mid-read without
   /// releasing the descriptor (close() still runs at destruction).
   void shutdown() noexcept;
+  /// shutdown(2) of the read side only: a wait on this descriptor returns
+  /// at once and then reads EOF, while writes still go out.
+  void shutdown_read() const noexcept;
 
  private:
   int fd_ = -1;

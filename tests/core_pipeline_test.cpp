@@ -1,4 +1,4 @@
-// Tests for the staged presolve->backend pipeline (core/pipeline.hpp) and
+// Tests for the presolve->backend solve spine (core/pipeline.hpp) and
 // the canonical verdict mapping (core/verdict.hpp): stage gating and
 // provenance, short-circuit soundness, and randomized differential
 // equivalence between the piped and direct solve paths on the paper's
@@ -6,14 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <exception>
+#include <string>
+#include <typeinfo>
+#include <utility>
+#include <vector>
 
 #include "analysis/tests.hpp"
 #include "core/solve.hpp"
+#include "exp/harness.hpp"
 #include "flow/oracle.hpp"
 #include "gen/generator.hpp"
 #include "localsearch/min_conflicts.hpp"
 #include "rt/validate.hpp"
 #include "support/deadline.hpp"
+#include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 
@@ -81,29 +89,28 @@ TEST(Pipeline, FlowOracleStageStopsAtItsDeadlineWithACause) {
     }
   }
   const Platform p = Platform::identical(inst.processors);
-  const auto stage = make_flow_oracle_stage();
 
-  StageContext expired;
-  expired.deadline = support::Deadline::after(std::chrono::nanoseconds(0));
-  const StageResult late = stage->run(inst.tasks, p, expired);
+  const SolveReport late = flow_oracle_stage(
+      inst.tasks, p, support::Deadline::after(std::chrono::nanoseconds(0)));
   EXPECT_EQ(late.verdict, Verdict::kUnknown);
   EXPECT_EQ(late.cause, FailureCause::kDeadline);
   EXPECT_FALSE(late.schedule.has_value());
   EXPECT_NE(late.detail.find("deadline expired"), std::string::npos)
       << late.detail;
 
-  StageContext cancelled;
+  support::Deadline cancelled;
   const support::CancelToken token = support::CancelToken::make();
   token.cancel();
-  cancelled.deadline.set_cancel(token);
-  const StageResult stopped = stage->run(inst.tasks, p, cancelled);
+  cancelled.set_cancel(token);
+  const SolveReport stopped = flow_oracle_stage(inst.tasks, p, cancelled);
   EXPECT_EQ(stopped.verdict, Verdict::kUnknown);
   EXPECT_EQ(stopped.cause, FailureCause::kCancelled);
   EXPECT_NE(stopped.detail.find("cancelled"), std::string::npos)
       << stopped.detail;
 
-  const StageResult decided = stage->run(inst.tasks, p, StageContext{});
-  EXPECT_TRUE(decided.decisive());
+  const SolveReport decided =
+      flow_oracle_stage(inst.tasks, p, support::Deadline{});
+  EXPECT_TRUE(decisive(decided.verdict, decided.complete));
   EXPECT_EQ(decided.cause, FailureCause::kNone);
 }
 
@@ -306,6 +313,299 @@ TEST(PipelineDifferential, ArbitraryDeadlinesAgreeThroughCloneExpansion) {
     }
   }
   EXPECT_GT(cloned_checked, 6) << "sweep must actually exercise clones";
+}
+
+// ------------------------------------------------------------ spine digest
+//
+// Every deterministic field the solve spine fills, folded into one FNV-1a
+// hash over a small family of instances, methods, presolve line-ups and
+// fault plans, plus two batch entry points.  Only wall times (seconds,
+// stage times, propagator seconds) stay out; a thrown exception enters as
+// its type and message.  A refactor of the spine must leave the digest as
+// it was.
+
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+
+  void u64(std::uint64_t word) {
+    for (int k = 0; k < 8; ++k) {
+      h ^= (word >> (8 * k)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
+  void str(const std::string& text) {
+    u64(text.size());
+    for (const char c : text) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void tasks(const TaskSet& ts) {
+    i64(static_cast<std::int64_t>(ts.model()));
+    i64(ts.size());
+    for (rt::TaskId i = 0; i < ts.size(); ++i) {
+      i64(ts[i].offset());
+      i64(ts[i].wcet());
+      i64(ts[i].deadline());
+      i64(ts[i].period());
+    }
+  }
+  void nogoods(const NogoodStats& ng) {
+    for (const std::int64_t v :
+         {ng.recorded, ng.imported, ng.exported, ng.replay_hits,
+          ng.lits_before, ng.lits_after, ng.subsumed, ng.lbd_refreshed,
+          ng.backjumps, ng.backjump_levels_saved, ng.lits_minimized}) {
+      i64(v);
+    }
+  }
+  void propagators(const std::vector<csp::PropagatorProfile>& rows) {
+    u64(rows.size());
+    for (const csp::PropagatorProfile& row : rows) {
+      str(row.name);
+      i64(row.wakes);
+      i64(row.runs);
+      i64(row.prunes);
+    }
+  }
+  void report(const SolveReport& r) {
+    i64(static_cast<std::int64_t>(r.verdict));
+    i64(r.complete);
+    i64(static_cast<std::int64_t>(r.cause));
+    str(r.decided_by);
+    str(r.detail);
+    i64(r.witness_valid);
+    i64(r.schedule.has_value());
+    if (r.schedule) {
+      i64(r.schedule->hyperperiod());
+      i64(r.schedule->processors());
+      for (rt::Time t = 0; t < r.schedule->hyperperiod(); ++t) {
+        for (rt::ProcId j = 0; j < r.schedule->processors(); ++j) {
+          i64(r.schedule->at(t, j));
+        }
+      }
+    }
+    i64(r.solved_tasks.has_value());
+    if (r.solved_tasks) tasks(*r.solved_tasks);
+    u64(r.stage_times.size());
+    for (const StageTiming& stage : r.stage_times) {
+      str(stage.stage);
+      i64(static_cast<std::int64_t>(stage.verdict));
+    }
+    i64(r.nodes);
+    i64(r.failures);
+    nogoods(r.nogoods);
+    propagators(r.propagators);
+  }
+  void error(const std::exception& e) {
+    str(typeid(e).name());
+    str(e.what());
+  }
+  void health(const BatchHealth& health) {
+    i64(health.failures);
+    i64(health.retries);
+    i64(health.recovered);
+    i64(health.quarantined);
+    u64(health.quarantined_jobs.size());
+    for (const std::size_t k : health.quarantined_jobs) u64(k);
+    str(health.first_error);
+  }
+  void record(const exp::RunRecord& run) {
+    i64(static_cast<std::int64_t>(run.verdict));
+    i64(run.witness_ok);
+    i64(run.complete);
+    i64(run.nodes);
+    str(run.decided_by);
+    i64(static_cast<std::int64_t>(run.failure_cause));
+    nogoods(run.nogoods);
+    propagators(run.propagators);
+  }
+};
+
+struct SpineCase {
+  TaskSet tasks;
+  Platform platform;
+};
+
+// Table-I draws at one seed on identical platforms, then a uniform, a
+// heterogeneous and an arbitrary-deadline system.  `table1` draws come
+// first so a smaller family is a prefix-plus-tail of the same cases.
+std::vector<SpineCase> spine_cases(std::uint64_t table1) {
+  std::vector<SpineCase> cases;
+  const gen::GeneratorOptions paper;  // n = 10, m = 5, Tmax = 7
+  for (std::uint64_t k = 0; k < table1; ++k) {
+    gen::Instance inst = gen::generate_indexed(paper, 24, k);
+    cases.push_back({std::move(inst.tasks),
+                     Platform::identical(inst.processors)});
+  }
+  gen::GeneratorOptions small;
+  small.tasks = 4;
+  small.processors = 2;
+  small.t_max = 4;
+  cases.push_back({gen::generate_indexed(small, 24, 0).tasks,
+                   Platform::uniform({2, 1})});
+  cases.push_back({gen::generate_indexed(small, 24, 1).tasks,
+                   Platform::heterogeneous({{1, 2}, {2, 1}, {1, 1}, {0, 2}})});
+  cases.push_back({TaskSet::from_params({{0, 1, 5, 3}, {0, 2, 4, 4},
+                                         {1, 1, 2, 2}},
+                                        rt::DeadlineModel::kArbitrary),
+                   Platform::identical(2)});
+  return cases;
+}
+
+std::vector<std::pair<std::string, PipelineOptions>> spine_pipelines() {
+  PipelineOptions no_flow = PipelineOptions::full();
+  no_flow.flow_oracle = false;
+  return {{"none", PipelineOptions::none()},
+          {"default", PipelineOptions{}},
+          {"full", PipelineOptions::full()},
+          {"full-no-flow", no_flow}};
+}
+
+std::vector<SolveConfig> spine_methods() {
+  std::vector<SolveConfig> methods;
+  const auto add = [&](Method method) {
+    SolveConfig config;
+    config.method = method;
+    config.max_nodes = 600;
+    config.pipeline.presolve_max_nodes = 300;
+    config.localsearch.iterations_per_restart = 400;
+    config.localsearch.restarts = 2;
+    methods.push_back(config);
+    return &methods.back();
+  };
+  // CSP1's boolean model of a Table-I system costs about a millisecond a
+  // node, so it gets a smaller budget.
+  SolveConfig* csp1 = add(Method::kCsp1Generic);
+  csp1->generic = choco_like_defaults(5);
+  csp1->max_nodes = 40;
+  // A variable budget no model fits: the backend's memory-limit answer.
+  add(Method::kCsp2Generic)->limits.max_variables = 8;
+  SolveConfig* generic = add(Method::kCsp2Generic);
+  generic->generic = choco_like_defaults(6);
+  generic->generic.nogoods = true;
+  add(Method::kCsp2Dedicated)->csp2.value_order = csp2::ValueOrder::kDMinusC;
+  add(Method::kFlowOracle);
+  add(Method::kEdfSimulation);
+  add(Method::kLocalSearch);
+  return methods;
+}
+
+void mix_solves(Digest& d, const std::vector<SpineCase>& cases) {
+  for (const SpineCase& c : cases) {
+    for (const auto& [label, pipeline] : spine_pipelines()) {
+      for (SolveConfig config : spine_methods()) {
+        config.pipeline.analysis = pipeline.analysis;
+        config.pipeline.flow_oracle = pipeline.flow_oracle;
+        config.pipeline.csp2_presolve = pipeline.csp2_presolve;
+        d.str(label);
+        try {
+          d.report(solve_instance(c.tasks, c.platform, config));
+        } catch (const std::exception& e) {
+          d.error(e);
+        }
+      }
+    }
+  }
+}
+
+// The portfolio only where presolve decides before any lane launches: a
+// race depends on timing.
+void mix_portfolios(Digest& d, const std::vector<SpineCase>& cases) {
+  for (const SpineCase& c : cases) {
+    if (!c.platform.is_identical()) continue;
+    SolveConfig config;
+    config.method = Method::kPortfolio;
+    config.max_nodes = 600;
+    for (const PipelineOptions& pipeline :
+         {PipelineOptions{}, PipelineOptions::full()}) {
+      config.pipeline = pipeline;
+      const PortfolioReport race = solve_portfolio(c.tasks, c.platform, config);
+      d.i64(race.winner);
+      d.u64(race.lanes.size());
+      d.report(race.report);
+      d.report(solve_instance(c.tasks, c.platform, config));
+    }
+  }
+}
+
+void mix_batches(Digest& d, const std::vector<SpineCase>& cases) {
+  std::vector<BatchJob> jobs;
+  for (const SpineCase& c : cases) {
+    for (SolveConfig config : spine_methods()) {
+      config.pipeline = PipelineOptions::full();
+      jobs.push_back({c.tasks, c.platform, config});
+    }
+  }
+  BatchPolicy policy;
+  policy.workers = 1;
+  policy.max_attempts = 2;
+  BatchHealth health;
+  for (const SolveReport& report : solve_batch(jobs, policy, &health)) {
+    d.report(report);
+  }
+  d.health(health);
+
+  exp::BatchOptions options;
+  options.instances = 4;
+  options.seed = 24;
+  options.workers = 1;
+  std::vector<exp::SolverSpec> specs;
+  for (const SolveConfig& config : spine_methods()) {
+    specs.push_back({to_string(config.method), config});
+  }
+  const exp::BatchResult batch = exp::run_batch(options, specs);
+  for (const exp::InstanceRecord& inst : batch.instances) {
+    for (const exp::RunRecord& run : inst.runs) d.record(run);
+  }
+  d.health(batch.health);
+}
+
+TEST(SolveSpine, ReportDigestIsPinned) {
+  Digest clean;
+  mix_solves(clean, spine_cases(6));
+  mix_portfolios(clean, spine_cases(6));
+  mix_batches(clean, spine_cases(2));
+  EXPECT_EQ(clean.h, 0x462b353c6b8b895cULL);
+
+#if MGRTS_FAULT_INJECTION
+  // Each throwing or deadline site at rate 1, then one mixed plan; stall
+  // and cancel are left out (they race the clock).
+  using support::FaultSite;
+  std::vector<support::FaultPlan> plans;
+  const FaultSite sites[] = {FaultSite::kFlowNetwork, FaultSite::kJobTable,
+                             FaultSite::kScheduleTable,
+                             FaultSite::kCspVarBudget, FaultSite::kDeadline,
+                             FaultSite::kPropagator};
+  unsigned all = 0;
+  for (const FaultSite site : sites) {
+    support::FaultPlan plan;
+    plan.rate = 1.0;
+    plan.sites = support::FaultPlan::mask(site);
+    plans.push_back(plan);
+    all |= plan.sites;
+  }
+  support::FaultPlan mixed;
+  mixed.seed = 24;
+  mixed.rate = 0.3;
+  mixed.sites = all;
+  plans.push_back(mixed);
+
+  // Disarms on every exit, so a plan never outlives its round.
+  struct Armed {
+    explicit Armed(const support::FaultPlan& plan) {
+      support::FaultInjector::arm(plan);
+    }
+    ~Armed() { support::FaultInjector::disarm(); }
+  };
+  Digest faulted;
+  for (const support::FaultPlan& plan : plans) {
+    const Armed armed(plan);
+    mix_solves(faulted, spine_cases(2));
+    mix_batches(faulted, spine_cases(1));
+  }
+  EXPECT_EQ(faulted.h, 0x8f31c02677986212ULL);
+#endif
 }
 
 }  // namespace

@@ -122,8 +122,8 @@ TEST(Portfolio, PresolveDecidesBeforeAnyLaneLaunches) {
   EXPECT_EQ(race.report.verdict, Verdict::kFeasible);
   EXPECT_EQ(race.report.decided_by, "flow-oracle");
   EXPECT_TRUE(race.report.witness_valid);
-  ASSERT_FALSE(race.presolve.empty());
-  EXPECT_EQ(race.presolve.back().stage, "flow-oracle");
+  ASSERT_FALSE(race.report.stage_times.empty());
+  EXPECT_EQ(race.report.stage_times.back().stage, "flow-oracle");
 }
 
 // The race ends with its winner.  The watchdog ticks every

@@ -902,6 +902,25 @@ TEST(Daemon, StopDoesNotWaitOutTheAcceptPoll) {
             std::chrono::milliseconds(50));
 }
 
+TEST(Daemon, StopWithAnIdleClientReturnsPromptly) {
+  // A connected client that sends nothing leaves its handler waiting in
+  // the default 200 ms poll; stop() shuts down the read side of every
+  // open connection, so that wait ends at once.
+  ServerOptions options;
+  options.socket_path = test_socket_path("idle");
+  options.workers = 2;
+  ASSERT_EQ(options.poll_interval_ms, 200);
+  Server server(options);
+  server.start();
+  Client client(options.socket_path);
+  ASSERT_TRUE(client.ping());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // idle wait
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+}
+
 TEST(Daemon, ShutdownRequestEndsRunWithoutWaitingOutThePoll) {
   ServerOptions options;
   options.socket_path = test_socket_path("prompt_bye");

@@ -89,11 +89,7 @@ int run_smoke(const std::string& socket_path, std::int64_t count) {
       const SolveResult r = client.solve(c.body, params);
       ++answered;
       if (r.cache_hit) ++cache_hits;
-      if (r.cause == mgrts::core::FailureCause::kMemory ||
-          r.cause == mgrts::core::FailureCause::kInternalError ||
-          r.cause == mgrts::core::FailureCause::kFaultInjected) {
-        ++degraded;
-      }
+      if (mgrts::core::crash_type(r.cause)) ++degraded;
 
       const std::string expect = c.expect;
       if (expect == "ok") {
