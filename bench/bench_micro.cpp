@@ -297,8 +297,9 @@ void report_selection(bench::BenchJson& json, const char* label,
 //
 //   * the full four-order line-up — what reproducing the paper's tables
 //     actually runs, since the winning order is not known a priori;
-//   * the post-hoc best single fixed order (an oracle baseline).  PR 2's
-//     raw race ("CSP2-portfolio") loses to it on one core: the lanes are
+//   * the post-hoc best single fixed order (an oracle baseline).  The raw
+//     race ("CSP2-portfolio": five lanes, the four orders and the
+//     randomized generic lane) loses to it on one core: the lanes are
 //     correlated ((D-C) dominates per instance) and time-share the CPU;
 //   * "CSP2-diverse" — the same race plus the anticorrelated lanes
 //     (slack/demand-pruned CSP2, min-conflicts local search), still with
@@ -329,10 +330,9 @@ void report_portfolio(bench::BenchJson& json) {
   for (const csp2::ValueOrder order : csp2::informed_value_orders()) {
     specs.push_back(exp::csp2_spec(order, limit_ms));
   }
-  specs.push_back(exp::portfolio_spec(limit_ms, 1, /*presolve=*/false,
+  specs.push_back(exp::portfolio_spec(limit_ms, /*presolve=*/false,
                                       /*diverse_lanes=*/false));
-  exp::SolverSpec diverse = exp::portfolio_spec(limit_ms, 1,
-                                                /*presolve=*/false,
+  exp::SolverSpec diverse = exp::portfolio_spec(limit_ms, /*presolve=*/false,
                                                 /*diverse_lanes=*/true);
   diverse.label = "CSP2-diverse";
   specs.push_back(std::move(diverse));

@@ -108,18 +108,14 @@ int main() {
   // Nogood learning provenance (SolveReport::nogoods): how many conflicts
   // were recorded, how far conflict analysis shrank them, how the 1-UIP
   // clauses compare against the decision-set baseline for the very same
-  // conflicts, and how often the replayed clauses fired.  Pool exchanges
-  // stay 0 outside portfolios.
+  // conflicts, and how often the replayed clauses fired.
   const core::NogoodStats& learn = csp1_report.nogoods;
   std::printf("nogoods: %lld recorded (shrink ratio %.2f), %lld replay "
-              "hits, %lld subsumed, %lld LBD refreshes, %lld exported / "
-              "%lld imported\n",
+              "hits, %lld subsumed, %lld LBD refreshes\n",
               static_cast<long long>(learn.recorded), learn.shrink_ratio(),
               static_cast<long long>(learn.replay_hits),
               static_cast<long long>(learn.subsumed),
-              static_cast<long long>(learn.lbd_refreshed),
-              static_cast<long long>(learn.exported),
-              static_cast<long long>(learn.imported));
+              static_cast<long long>(learn.lbd_refreshed));
   // Per-propagator observability (SolveReport::propagators): how often each
   // propagator class's advisors asked to run (wakes), how often it actually
   // swept (runs), how many domain changes the sweeps made (prunes), and —

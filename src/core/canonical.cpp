@@ -36,8 +36,8 @@ void append_int(std::string& out, std::int64_t value) {
 
 }  // namespace
 
-std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
-                          const CanonicalOptions& options) {
+std::string canonical_key(const rt::TaskSet& ts,
+                          const rt::Platform& platform) {
   const std::int32_t n = ts.size();
   const std::int32_t m = platform.processors();
   const bool heterogeneous = !platform.is_identical() && platform.rate_rows() > 0;
@@ -50,7 +50,7 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
   // gcd scaling: identical platforms only (the flow-condition argument in
   // the header does not cover rate matrices).  gcd(0, x) == x, so zero
   // offsets do not pin g at 1; once g is 1 it stays 1.
-  if (options.scaling && platform.is_identical()) {
+  if (platform.is_identical()) {
     rt::Time g = 0;
     for (const CanonicalTask& t : tasks) {
       g = std::gcd(g, t.params.offset);
@@ -70,21 +70,19 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
   }
 
   // Parameters first, then (heterogeneous platforms only) the rate rows.
-  if (options.permutation) {
-    std::sort(tasks.begin(), tasks.end(),
-              [&](const CanonicalTask& a, const CanonicalTask& b) {
-                if (const auto order = compare_params(a.params, b.params);
-                    order != 0) {
-                  return order < 0;
-                }
-                for (rt::ProcId j = 0; heterogeneous && j < m; ++j) {
-                  const rt::Rate x = platform.rate(a.source, j);
-                  const rt::Rate y = platform.rate(b.source, j);
-                  if (x != y) return x < y;
-                }
-                return false;
-              });
-  }
+  std::sort(tasks.begin(), tasks.end(),
+            [&](const CanonicalTask& a, const CanonicalTask& b) {
+              if (const auto order = compare_params(a.params, b.params);
+                  order != 0) {
+                return order < 0;
+              }
+              for (rt::ProcId j = 0; heterogeneous && j < m; ++j) {
+                const rt::Rate x = platform.rate(a.source, j);
+                const rt::Rate y = platform.rate(b.source, j);
+                if (x != y) return x < y;
+              }
+              return false;
+            });
 
   std::string key;
   key.reserve(32 + 16 * tasks.size());
@@ -100,9 +98,7 @@ std::string canonical_key(const rt::TaskSet& ts, const rt::Platform& platform,
     std::vector<rt::Rate> speeds;
     speeds.reserve(static_cast<std::size_t>(m));
     for (rt::ProcId j = 0; j < m; ++j) speeds.push_back(platform.rate(0, j));
-    if (options.permutation) {
-      std::sort(speeds.begin(), speeds.end(), std::greater<>());
-    }
+    std::sort(speeds.begin(), speeds.end(), std::greater<>());
     key += "un:";
     for (std::size_t j = 0; j < speeds.size(); ++j) {
       if (j != 0) key += ',';

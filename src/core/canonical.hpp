@@ -32,18 +32,12 @@
 
 namespace mgrts::core {
 
-struct CanonicalOptions {
-  /// Sort tasks (with their rate rows) into a canonical order.
-  bool permutation = true;
-  /// Divide out the common gcd of all task parameters (identical platforms
-  /// only; see the soundness note above).
-  bool scaling = true;
-};
-
-/// The canonical cache key for (ts, platform).  Deterministic, total (every
-/// valid instance has one), and stable across processes/machines.
+/// The canonical cache key for (ts, platform): tasks (with their rate rows)
+/// sorted, uniform speeds sorted, and the common gcd of all task parameters
+/// divided out on identical platforms only (see the soundness note above).
+/// Deterministic, total (every valid instance has one), and stable across
+/// processes/machines.
 [[nodiscard]] std::string canonical_key(const rt::TaskSet& ts,
-                                        const rt::Platform& platform,
-                                        const CanonicalOptions& options = {});
+                                        const rt::Platform& platform);
 
 }  // namespace mgrts::core

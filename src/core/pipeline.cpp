@@ -76,7 +76,7 @@ SolveReport csp2_presolve_stage(const rt::TaskSet& ts,
 // Exact polynomial feasibility via max-flow.  Produces a canonical witness
 // schedule for feasible instances; memory pressure downgrades to kUnknown
 // (the backend gets its chance) instead of aborting the solve, and so does
-// the stage's deadline running out between Dinic phases.
+// the stage's deadline running out.
 SolveReport flow_oracle_stage(const rt::TaskSet& ts,
                               const rt::Platform& platform,
                               const support::Deadline& deadline) {
@@ -88,7 +88,7 @@ SolveReport flow_oracle_stage(const rt::TaskSet& ts,
       const bool cancelled = deadline.cancel_requested();
       out.cause =
           cancelled ? FailureCause::kCancelled : FailureCause::kDeadline;
-      out.detail = std::string("flow oracle stopped between Dinic phases: ") +
+      out.detail = std::string("flow oracle stopped: ") +
                    (cancelled ? "cancelled" : "deadline expired");
       return out;
     }

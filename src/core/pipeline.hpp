@@ -79,8 +79,6 @@ struct PipelineOptions {
 /// quality without reaching into the engine.
 struct NogoodStats {
   std::int64_t recorded = 0;     ///< nogoods stored (incl. root units)
-  std::int64_t imported = 0;     ///< adopted from a shared pool
-  std::int64_t exported = 0;     ///< published to a shared pool
   std::int64_t replay_hits = 0;  ///< unit removals + clause conflicts
   /// Literal totals over recorded nogoods: raw decision-set length vs the
   /// length stored after conflict-analysis shrinking.
@@ -115,8 +113,7 @@ struct NogoodStats {
 /// Every NogoodStats counter, in the order the shard wire's `ng` line
 /// carries them.  A new counter goes into the struct and into this list.
 inline constexpr std::int64_t NogoodStats::*kNogoodCounters[] = {
-    &NogoodStats::recorded,      &NogoodStats::imported,
-    &NogoodStats::exported,      &NogoodStats::replay_hits,
+    &NogoodStats::recorded,      &NogoodStats::replay_hits,
     &NogoodStats::lits_before,   &NogoodStats::lits_after,
     &NogoodStats::subsumed,      &NogoodStats::lbd_refreshed,
     &NogoodStats::backjumps,     &NogoodStats::backjump_levels_saved,
@@ -147,7 +144,8 @@ struct SolveReport {
   std::optional<rt::TaskSet> solved_tasks;
 
   /// True when the witness passed the independent validator (always true
-  /// for witness-backed kFeasible results unless validation was disabled).
+  /// for witness-backed kFeasible results; a false one is a solver bug,
+  /// flagged in `detail`).
   /// Analytical stages can prove feasibility without constructing a
   /// witness (detail says which test); schedule is then absent.
   bool witness_valid = false;
@@ -199,10 +197,10 @@ struct SolveReport {
 
 /// The flow-oracle stage on its own (identical platforms, constrained
 /// deadlines): a canonical witness or an infeasibility proof.  kUnknown
-/// with kDeadline or kCancelled once `deadline` stops it between Dinic
-/// phases; kUnknown with kMemory (kFaultInjected for an injected fault)
-/// when the oracle's size guard refuses the network and the density test
-/// cannot stand in.
+/// with kDeadline or kCancelled once `deadline` stops it (flow/oracle.hpp
+/// says where it is asked); kUnknown with kMemory (kFaultInjected for an
+/// injected fault) when the oracle's size guard refuses the network and
+/// the density test cannot stand in.
 [[nodiscard]] SolveReport flow_oracle_stage(const rt::TaskSet& ts,
                                             const rt::Platform& platform,
                                             const support::Deadline& deadline);

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "csp/nogoods.hpp"
 #include "encodings/csp1.hpp"
 #include "flow/oracle.hpp"
 #include "rt/validate.hpp"
@@ -46,12 +45,15 @@ csp::SearchOptions choco_like_defaults(std::uint64_t seed) {
 
 namespace {
 
+/// Variable budget of the portfolio's randomized generic lane: keeps the
+/// lane from burning the whole race budget building a model it cannot
+/// search.
+constexpr std::int64_t kRandomLaneMaxVariables = 250'000;
+
 /// Lifts the engine's nogood counters into the provenance shape.
 NogoodStats to_nogood_stats(const csp::SolveStats& stats) {
   NogoodStats out;
   out.recorded = stats.nogoods_recorded;
-  out.imported = stats.nogoods_imported;
-  out.exported = stats.nogoods_exported;
   out.replay_hits = stats.nogood_props + stats.nogood_conflicts;
   out.lits_before = stats.nogood_lits_before;
   out.lits_after = stats.nogood_lits_after;
@@ -81,19 +83,14 @@ FailureCause infer_cause(Verdict verdict, const support::Deadline& deadline) {
 /// any schedule with the independent validator and flags solver bugs
 /// loudly.
 void validate_report(const rt::TaskSet& ts, const rt::Platform& platform,
-                     const SolveConfig& config, SolveReport& report) {
-  if (report.schedule.has_value() && config.validate_witness) {
-    report.witness_valid =
-        rt::is_valid_schedule(ts, platform, *report.schedule);
-  } else if (report.schedule.has_value()) {
-    report.witness_valid = true;  // validation skipped by request
-  }
+                     SolveReport& report) {
+  if (!report.schedule.has_value()) return;
+  report.witness_valid = rt::is_valid_schedule(ts, platform, *report.schedule);
 
   // A "feasible" claim whose witness fails the validator is a solver bug;
   // surface it loudly in the detail string rather than silently trusting
   // it.
-  if (report.verdict == Verdict::kFeasible && report.schedule.has_value() &&
-      config.validate_witness && !report.witness_valid) {
+  if (report.verdict == Verdict::kFeasible && !report.witness_valid) {
     report.detail = "INVALID WITNESS: " +
                     rt::validate_schedule(ts, platform, *report.schedule)
                         .to_string();
@@ -105,41 +102,34 @@ void validate_report(const rt::TaskSet& ts, const rt::Platform& platform,
 SolveReport dispatch(const rt::TaskSet& ts, const rt::Platform& platform,
                      const SolveConfig& config,
                      const support::Deadline& deadline) {
+  // Both generic-engine encodings search alike; only the model build and
+  // the decode differ.
+  const auto generic = [&](const auto& model, const auto& decode) {
+    csp::SearchOptions options = config.generic;
+    options.deadline = deadline;
+    options.max_nodes = config.max_nodes;
+    const csp::SolveOutcome outcome = model.solver->solve(options);
+    SolveReport out;
+    out.verdict = canonical_verdict(outcome.status);
+    out.nodes = outcome.stats.nodes;
+    out.failures = outcome.stats.failures;
+    out.nogoods = to_nogood_stats(outcome.stats);
+    out.propagators = outcome.stats.propagators;
+    if (outcome.status == csp::SolveStatus::kSat) {
+      out.schedule = decode(model, outcome.assignment);
+    }
+    return out;
+  };
   SolveReport out;
   switch (config.method) {
-    case Method::kCsp1Generic: {
-      auto model = enc::build_csp1(ts, platform, config.limits);
-      csp::SearchOptions options = config.generic;
-      options.deadline = deadline;
-      options.max_nodes = config.max_nodes;
-      const csp::SolveOutcome outcome = model.solver->solve(options);
-      out.verdict = canonical_verdict(outcome.status);
-      out.nodes = outcome.stats.nodes;
-      out.failures = outcome.stats.failures;
-      out.nogoods = to_nogood_stats(outcome.stats);
-      out.propagators = outcome.stats.propagators;
-      if (outcome.status == csp::SolveStatus::kSat) {
-        out.schedule = enc::decode_csp1(model, outcome.assignment);
-      }
-      break;
-    }
-    case Method::kCsp2Generic: {
-      auto model = enc::build_csp2_generic(ts, platform, config.csp2_generic,
-                                           config.limits);
-      csp::SearchOptions options = config.generic;
-      options.deadline = deadline;
-      options.max_nodes = config.max_nodes;
-      const csp::SolveOutcome outcome = model.solver->solve(options);
-      out.verdict = canonical_verdict(outcome.status);
-      out.nodes = outcome.stats.nodes;
-      out.failures = outcome.stats.failures;
-      out.nogoods = to_nogood_stats(outcome.stats);
-      out.propagators = outcome.stats.propagators;
-      if (outcome.status == csp::SolveStatus::kSat) {
-        out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
-      }
-      break;
-    }
+    case Method::kCsp1Generic:
+      return generic(enc::build_csp1(ts, platform, config.limits),
+                     enc::decode_csp1);
+    case Method::kCsp2Generic:
+      return generic(enc::build_csp2_generic(ts, platform,
+                                             config.csp2_generic,
+                                             config.limits),
+                     enc::decode_csp2_generic);
     case Method::kCsp2Dedicated: {
       csp2::Options options = config.csp2;
       options.deadline = deadline;
@@ -153,9 +143,15 @@ SolveReport dispatch(const rt::TaskSet& ts, const rt::Platform& platform,
       break;
     }
     case Method::kFlowOracle: {
-      flow::OracleResult oracle = flow::decide_feasibility(ts, platform);
-      out.verdict = canonical_verdict(oracle.verdict);
-      out.schedule = std::move(oracle.schedule);
+      // Stopped by the deadline: kTimeout, whose cause run_backend infers.
+      std::optional<flow::OracleResult> oracle =
+          flow::decide_feasibility(ts, platform, deadline);
+      if (!oracle) {
+        out.verdict = Verdict::kTimeout;
+        break;
+      }
+      out.verdict = canonical_verdict(oracle->verdict);
+      out.schedule = std::move(oracle->schedule);
       break;
     }
     case Method::kLocalSearch: {
@@ -277,9 +273,8 @@ struct Spine {
   Spine(const Spine&) = delete;
 
   /// Ends the spine: the clone system moves into the report.
-  void finish(const rt::Platform& platform, const SolveConfig& config,
-              SolveReport& report) {
-    validate_report(ts, platform, config, report);
+  void finish(const rt::Platform& platform, SolveReport& report) {
+    validate_report(ts, platform, report);
     report.solved_tasks = std::move(clones);
     report.seconds = watch.seconds();
   }
@@ -301,7 +296,7 @@ SolveReport solve_instance(const rt::TaskSet& input,
                   report)) {
     run_backend(spine.ts, platform, config, spine.deadline, report);
   }
-  spine.finish(platform, config, report);
+  spine.finish(platform, report);
   return report;
 }
 
@@ -345,7 +340,7 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // ever starts, which is where the flow oracle converts whole identical-
   // platform workloads into polynomial time.
   if (run_stages(ts, platform, config.pipeline, spine.deadline, out.report)) {
-    spine.finish(platform, config, out.report);
+    spine.finish(platform, out.report);
     out.seconds = out.report.seconds;
     return out;
   }
@@ -365,24 +360,23 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   lane_base.pipeline = PipelineOptions::none();
   lane_base.time_limit_ms = spine.deadline.remaining_ms();
 
-  // The four dedicated value-order lanes, configured like exp::csp2_spec.
+  // The four dedicated value-order lanes, configured like exp::csp2_spec:
+  // paper-faithful, so without the slack/demand prunes.
   for (const csp2::ValueOrder order : csp2::informed_value_orders()) {
     Lane lane;
     lane.label = csp2::to_string(order);
     lane.config = lane_base;
     lane.config.method = Method::kCsp2Dedicated;
     lane.config.csp2.value_order = order;
-    if (config.portfolio.paper_faithful) {
-      lane.config.csp2.slack_prune = false;
-      lane.config.csp2.tight_demand_prune = false;
-    }
+    lane.config.csp2.slack_prune = false;
+    lane.config.csp2.tight_demand_prune = false;
     lanes.push_back(std::move(lane));
   }
 
   // Anticorrelated lane: the same dedicated search with this repo's
   // slack/demand prunes ON — where the paper-faithful lanes all time out on
   // an infeasible instance, this lane often proves it instantly.
-  if (config.portfolio.pruned_lane) {
+  if (config.portfolio.diverse_lanes) {
     Lane lane;
     lane.label = "CSP2+(D-C)+prunes";
     lane.config = lane_base;
@@ -396,7 +390,7 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // Anticorrelated lane: min-conflicts local search — a SAT specialist for
   // feasible instances the tree searches thrash on.  Identical platforms
   // only (ls::solve's domain); its kUnknown give-up is never decisive.
-  if (config.portfolio.local_search_lane && platform.is_identical()) {
+  if (config.portfolio.diverse_lanes && platform.is_identical()) {
     Lane lane;
     lane.label = "min-conflicts";
     lane.config = lane_base;
@@ -406,35 +400,18 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
     lanes.push_back(std::move(lane));
   }
 
-  // Randomized generic lanes: Choco-like strategy with Luby restarts and
-  // nogood recording; all lanes share one pool read-only (each lane only
-  // imports what the others published).  The pool outlives the race — the
-  // parallel_for_index below joins every lane before this frame returns.
-  csp::NogoodPool pool;
-  const bool share =
-      config.portfolio.share_nogoods && config.portfolio.random_lanes > 0;
-  for (std::int32_t r = 0; r < config.portfolio.random_lanes; ++r) {
+  // The randomized generic lane: Choco-like strategy with Luby restarts
+  // and nogood recording.
+  {
     Lane lane;
-    lane.label = "CSP2(generic)+rand" + std::to_string(r);
+    lane.label = "CSP2(generic)+rand0";
     lane.config = lane_base;
     lane.config.method = Method::kCsp2Generic;
-    lane.config.generic = choco_like_defaults(
-        config.generic.seed ^
-        (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r + 1)));
+    lane.config.generic =
+        choco_like_defaults(config.generic.seed ^ 0x9e3779b97f4a7c15ULL);
     lane.config.generic.nogoods = true;
-    // The caller's learning knobs survive the strategy reset, so shrink
-    // ablations (and LBD / database-size cuts) reach the racing lanes.
-    lane.config.generic.nogood_shrink = config.generic.nogood_shrink;
-    lane.config.generic.nogood_max_length = config.generic.nogood_max_length;
-    lane.config.generic.nogood_max_lbd = config.generic.nogood_max_lbd;
-    lane.config.generic.nogood_db_limit = config.generic.nogood_db_limit;
-    if (share) {
-      lane.config.generic.nogood_pool = &pool;
-      lane.config.generic.nogood_lane = r;
-    }
     lane.config.limits.max_variables =
-        std::min(config.limits.max_variables,
-                 config.portfolio.random_lane_max_variables);
+        std::min(config.limits.max_variables, kRandomLaneMaxVariables);
     lanes.push_back(std::move(lane));
   }
 
@@ -601,28 +578,18 @@ std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
         reports[k] = std::move(report);
         return;
       }
-      // Retry with backoff: wider wall/node budgets, fresh seeds so a
+      // Retry with backoff: doubled wall/node budgets, fresh seeds so a
       // deterministic crash trajectory is not replayed verbatim.
       {
         std::lock_guard lock(health_mutex);
         ++local.retries;
       }
-      if (config.time_limit_ms > 0) {
-        config.time_limit_ms = static_cast<std::int64_t>(
-            static_cast<double>(config.time_limit_ms) *
-            policy.retry_budget_multiplier);
-      }
-      if (config.max_nodes > 0) {
-        config.max_nodes = static_cast<std::int64_t>(
-            static_cast<double>(config.max_nodes) *
-            policy.retry_budget_multiplier);
-      }
-      if (policy.retry_fresh_seed) {
-        const auto salt = 0x9e3779b97f4a7c15ULL *
-                          static_cast<std::uint64_t>(attempt);
-        config.generic.seed ^= salt;
-        config.localsearch.seed ^= salt ^ 0x517cc1b727220a95ULL;
-      }
+      if (config.time_limit_ms > 0) config.time_limit_ms *= 2;
+      if (config.max_nodes > 0) config.max_nodes *= 2;
+      const auto salt =
+          0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt);
+      config.generic.seed ^= salt;
+      config.localsearch.seed ^= salt ^ 0x517cc1b727220a95ULL;
     }
   });
 

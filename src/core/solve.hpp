@@ -25,8 +25,7 @@
 //
 // Arbitrary-deadline task sets are clone-expanded (§VI-B) transparently;
 // the report then carries the constrained clone system the schedule refers
-// to.  All feasible witnesses are re-checked by the independent validator
-// unless `validate_witness` is disabled.
+// to.  Every witness is re-checked by the independent validator.
 #pragma once
 
 #include <atomic>
@@ -62,27 +61,12 @@ enum class Method {
 
 /// Lane line-up knobs for Method::kPortfolio / solve_portfolio.
 struct PortfolioConfig {
-  /// Randomized generic-engine lanes (CSP2-generic encoding, Choco-like
-  /// strategy, Luby restarts, nogood recording) raced alongside the four
-  /// dedicated value-order lanes.  0 disables them — right for workloads
-  /// whose m*T variable counts price the generic encoding out (Table IV).
-  std::int32_t random_lanes = 1;
-  /// Randomized lanes publish/import nogoods through one shared pool.
-  bool share_nogoods = true;
-  /// Configure the dedicated lanes exactly as §V-C describes them (no
-  /// slack/demand pruning extensions), like exp::csp2_spec.
-  bool paper_faithful = true;
-  /// Anticorrelated extra lane: CSP2+(D-C) with the slack/demand prunes ON
-  /// — converts many of the paper-faithful lanes' shared timeouts into
-  /// infeasibility proofs (see bench_ablation_csp2_rules).
-  bool pruned_lane = true;
-  /// Anticorrelated extra lane: min-conflicts local search — finds feasible
-  /// witnesses where tree search thrashes (identical platforms only; the
-  /// lane is skipped elsewhere).
-  bool local_search_lane = true;
-  /// Variable budget for the randomized generic lanes; keeps a lane from
-  /// burning the whole race budget building a model it cannot search.
-  std::int64_t random_lane_max_variables = 250'000;
+  /// The two anticorrelated extra lanes: CSP2+(D-C) with the slack/demand
+  /// prunes ON, which converts many of the paper-faithful lanes' shared
+  /// timeouts into infeasibility proofs (see bench_ablation_csp2_rules),
+  /// and min-conflicts local search, which finds feasible witnesses where
+  /// tree search thrashes (identical platforms only; skipped elsewhere).
+  bool diverse_lanes = true;
   /// Thread fan-out for the race; 0 = one thread per lane (deliberate
   /// oversubscription: lanes share wall-clock deadlines, so racing works
   /// even on a single hardware thread).
@@ -130,9 +114,6 @@ struct SolveConfig {
   /// every cooperative poll, so an external watchdog (the portfolio's) can
   /// tell a searching run from a wedged one.
   std::shared_ptr<std::atomic<std::uint64_t>> heartbeat;
-
-  /// Re-check feasible witnesses with the independent validator.
-  bool validate_witness = true;
 };
 
 /// A Choco-like default line-up for CSP1: dom/wdeg, random value order and
@@ -183,18 +164,18 @@ struct PortfolioReport {
 
 /// Races the diversified lane line-up behind the shared presolve stages:
 /// the four informed CSP2 value orders (dedicated solver, paper-faithful),
-/// a slack/demand-pruned CSP2 lane, a min-conflicts local-search lane
-/// (identical platforms), and `config.portfolio.random_lanes` randomized
-/// generic lanes — Choco-like strategy with Luby restarts and nogood
-/// recording, sharing one nogood pool read-only — over the solve_batch
-/// thread pool.  The presolve stages of `config.pipeline` run once before
-/// any lane launches; when they decide, no lane runs at all.  Otherwise the
-/// first lane with a decisive verdict (feasible, or a complete
-/// infeasibility proof) cancels the rest through the shared token; the
-/// winner's stats are reported.  Uses config.time_limit_ms / max_nodes /
-/// csp2 / generic / portfolio; config.method is ignored.  Also reachable as
-/// Method::kPortfolio through solve_instance, which makes portfolios
-/// batchable by the harness.
+/// with `config.portfolio.diverse_lanes` a slack/demand-pruned CSP2 lane
+/// and a min-conflicts local-search lane (identical platforms), and one
+/// randomized generic lane — CSP2-generic encoding of at most 250,000
+/// variables, Choco-like strategy with Luby restarts and nogood recording
+/// — over the solve_batch thread pool.  The presolve stages of
+/// `config.pipeline` run once before any lane launches; when they decide,
+/// no lane runs at all.  Otherwise the first lane with a decisive verdict
+/// (feasible, or a complete infeasibility proof) cancels the rest through
+/// the shared token; the winner's stats are reported.  Uses
+/// config.time_limit_ms / max_nodes / csp2 / generic / portfolio;
+/// config.method is ignored.  Also reachable as Method::kPortfolio through
+/// solve_instance, which makes portfolios batchable by the harness.
 [[nodiscard]] PortfolioReport solve_portfolio(const rt::TaskSet& ts,
                                               const rt::Platform& platform,
                                               const SolveConfig& config = {});
@@ -215,13 +196,11 @@ struct BatchPolicy {
   /// Total attempts per job (1 = no retry).  Only crash-type failures
   /// (kMemory, kInternalError, kFaultInjected) are retried; budget
   /// outcomes (deadline, node limit, cancellation) are legitimate results.
+  /// Each retry doubles the job's time_limit_ms and max_nodes (transient
+  /// memory pressure and timing races get more room) and re-derives the
+  /// generic/localsearch seeds, so it does not replay the failing
+  /// trajectory.
   std::int32_t max_attempts = 1;
-  /// Each retry scales the job's time_limit_ms and max_nodes by this
-  /// factor — transient memory pressure and timing races get more room.
-  double retry_budget_multiplier = 2.0;
-  /// Re-derive the generic/localsearch seeds per attempt so a retry does
-  /// not deterministically replay the failing trajectory.
-  bool retry_fresh_seed = true;
 };
 
 /// Aggregate failure accounting for one solve_batch call.

@@ -7,8 +7,7 @@
 // what lets conflict analysis resolve on implied literals instead of whole
 // decisions: learned nogoods are conjunctions of Lits, replayed by the
 // nogood store with generalized watches (a <=/>= watch fires on bound
-// movement, not only on a fix), and exchanged between portfolio lanes in
-// literal form.
+// movement, not only on a fix).
 //
 // Truth sets are over all integers; domain-relative reasoning goes through
 // truth_mask (the satisfying subset of a Domain64's 64-value window), so

@@ -25,42 +25,11 @@ std::int32_t block_lbd(const std::int32_t* depths, std::int32_t n) {
   return runs;
 }
 
-// ----------------------------------------------------------------- pool
-
-void NogoodPool::publish(std::int32_t lane, const Lit* lits,
-                         std::int32_t len, std::int32_t lbd) {
-  MGRTS_EXPECTS(len > 0);
-  std::lock_guard lock(mutex_);
-  entries_.push_back(
-      Entry{lane, PooledNogood{std::vector<Lit>(lits, lits + len), lbd}});
-}
-
-std::size_t NogoodPool::import_since(std::size_t cursor, std::int32_t lane,
-                                     std::vector<PooledNogood>& out) const {
-  std::lock_guard lock(mutex_);
-  for (std::size_t k = cursor; k < entries_.size(); ++k) {
-    if (entries_[k].lane != lane) out.push_back(entries_[k].clause);
-  }
-  return entries_.size();
-}
-
-std::size_t NogoodPool::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
-}
-
-// ---------------------------------------------------------------- store
-
 NogoodStore::NogoodStore(std::int64_t vars, std::int32_t max_length,
-                         std::int32_t max_lbd, std::int32_t db_limit,
-                         bool general)
-    : max_length_(max_length),
-      max_lbd_(max_lbd),
-      db_limit_(db_limit),
-      general_(general) {
+                         std::int32_t db_limit, bool general)
+    : max_length_(max_length), db_limit_(db_limit), general_(general) {
   MGRTS_EXPECTS(vars > 0);
   MGRTS_EXPECTS(max_length_ >= 1);
-  MGRTS_EXPECTS(max_lbd_ >= 1);
   MGRTS_EXPECTS(db_limit_ >= 1);
   scope_.resize(static_cast<std::size_t>(vars));
   std::iota(scope_.begin(), scope_.end(), VarId{0});
@@ -81,18 +50,6 @@ void NogoodStore::push_watch(Lit lit, std::int32_t clause_id) {
   agg_miss_[static_cast<std::size_t>(lit.var)] |= miss;
   watch_[static_cast<std::size_t>(lit.var)].push_back(
       WatchRef{miss, clause_id});
-}
-
-void NogoodStore::add_clause(const Lit* lits, std::int32_t len,
-                             std::int32_t lbd, bool imported) {
-  MGRTS_EXPECTS(len >= 2);
-  const auto offset = static_cast<std::int32_t>(lits_.size());
-  lits_.insert(lits_.end(), lits, lits + len);
-  const auto id = static_cast<std::int32_t>(clauses_.size());
-  clauses_.push_back(Clause{offset, len, lbd, imported, /*deleted=*/false});
-  push_watch(lits[0], id);
-  push_watch(lits[1], id);
-  ++live_;
 }
 
 void NogoodStore::record(const std::vector<Lit>& lits, std::int32_t raw_len,
@@ -142,8 +99,13 @@ void NogoodStore::record(const std::vector<Lit>& lits, std::int32_t raw_len,
   for (std::int32_t k = 0; k < len - 2; ++k) {
     ordered_.push_back(lits[static_cast<std::size_t>(k)]);
   }
-  add_clause(ordered_.data(), len, lbd, /*imported=*/false);
-  last_recorded_ = static_cast<std::int32_t>(clauses_.size()) - 1;
+  const auto offset = static_cast<std::int32_t>(lits_.size());
+  lits_.insert(lits_.end(), ordered_.begin(), ordered_.end());
+  last_recorded_ = static_cast<std::int32_t>(clauses_.size());
+  clauses_.push_back(Clause{offset, len, lbd, /*deleted=*/false});
+  push_watch(ordered_[0], last_recorded_);
+  push_watch(ordered_[1], last_recorded_);
+  ++live_;
   ++stats.nogoods_recorded;
   stats.nogood_lits_before += raw_len;
   stats.nogood_lits_after += len;
@@ -298,49 +260,11 @@ PropResult NogoodStore::propagate(Solver& solver) {
   return PropResult::kOk;
 }
 
-bool NogoodStore::restart_maintenance(Solver& solver, NogoodPool* pool,
-                                      std::int32_t lane, SolveStats& stats) {
-  solver_ = &solver;  // pre-attach imports (tests) need bases for watches
+bool NogoodStore::restart_maintenance(Solver& solver, SolveStats& stats) {
+  solver_ = &solver;  // the rebuilt watches read domain bases
   pending_.clear();
   conflict_vars_.clear();
   last_recorded_ = -1;  // compaction renumbers; drop the subsumption anchor
-
-  if (pool != nullptr) {
-    // Publish everything recorded since the previous restart, then adopt
-    // the other lanes' entries.  Admission is by block LBD, not length: a
-    // long clause glued into one depth run replays cheaply, a short one
-    // scattered across the tree does not.
-    for (std::size_t k = export_cursor_; k < clauses_.size(); ++k) {
-      const Clause& c = clauses_[k];
-      if (c.imported || c.deleted) continue;
-      pool->publish(lane, &lits_[static_cast<std::size_t>(c.offset)], c.len,
-                    c.lbd);
-      ++stats.nogoods_exported;
-    }
-    std::vector<PooledNogood> fresh;
-    pool_cursor_ = pool->import_since(pool_cursor_, lane, fresh);
-    for (const auto& clause : fresh) {
-      const auto len = static_cast<std::int32_t>(clause.lits.size());
-      if (clause.lbd > max_lbd_ || len > max_length_) continue;
-      if (len == 1) {
-        // Root units are asserted directly, never watched — admissible
-        // whatever their literal form, even into a fix-only store.
-        root_units_.push_back(clause.lits.front());
-        ++stats.nogoods_imported;
-        continue;
-      }
-      if (!general_ &&
-          std::any_of(clause.lits.begin(), clause.lits.end(),
-                      [](const Lit& l) { return l.rel != Rel::kEq; })) {
-        // A fix-only store would miss the entailment events of bound/!=
-        // literals; soundness is unaffected (clauses only prune), but the
-        // clause would be dead weight.
-        continue;
-      }
-      add_clause(clause.lits.data(), len, clause.lbd, /*imported=*/true);
-      ++stats.nogoods_imported;
-    }
-  }
 
   // Root units strengthen the root permanently (the caller re-propagates
   // and advances its root mark afterwards).  Assertions fire events
@@ -429,14 +353,13 @@ bool NogoodStore::restart_maintenance(Solver& solver, NogoodPool* pool,
     // property of the conflict, length of the storage.
     new_clauses.push_back(Clause{offset,
                                  static_cast<std::int32_t>(live.size()),
-                                 c.lbd, c.imported, /*deleted=*/false});
+                                 c.lbd, /*deleted=*/false});
     push_watch(live[0], id);
     push_watch(live[1], id);
   }
   lits_ = std::move(new_lits);
   clauses_ = std::move(new_clauses);
   live_ = static_cast<std::int64_t>(clauses_.size());
-  export_cursor_ = clauses_.size();
   if (unsat) return false;
   for (const Lit& unit : unit_folds) {
     if (!apply_root_unit(solver, unit, stats)) return false;

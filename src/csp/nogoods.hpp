@@ -30,13 +30,10 @@
 // depths (a clause that keeps firing inside one depth block is promoted
 // toward the protected core), and each fresh recording is checked for
 // subsumption against the previous one — only the stronger clause
-// survives.  A NogoodPool lets portfolio lanes solving the same model
-// share databases in literal form, so lanes import bound clauses too;
-// admission is by LBD rather than length.
+// survives.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "csp/solver.hpp"
@@ -52,50 +49,21 @@ namespace mgrts::csp {
 [[nodiscard]] std::int32_t block_lbd(const std::int32_t* depths,
                                      std::int32_t n);
 
-/// A clause in flight between lanes: its literals plus the block LBD it
-/// was recorded with (the importing lane's admission key).
-struct PooledNogood {
-  std::vector<Lit> lits;
-  std::int32_t lbd = 1;
-};
-
-/// Thread-safe exchange of nogoods between lanes solving the same model.
-/// Entries are append-only; each lane keeps its own import cursor and skips
-/// entries it published itself.
-class NogoodPool {
- public:
-  void publish(std::int32_t lane, const Lit* lits, std::int32_t len,
-               std::int32_t lbd);
-
-  /// Copies entries in [cursor, end) published by other lanes into `out`
-  /// (appending) and returns the new cursor.
-  std::size_t import_since(std::size_t cursor, std::int32_t lane,
-                           std::vector<PooledNogood>& out) const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    std::int32_t lane;
-    PooledNogood clause;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
+/// The soft database size of the store Solver::solve creates: exceeded
+/// entries are pruned at the next restart (see restart_maintenance), and
+/// recording pauses at twice this size.
+inline constexpr std::int32_t kNogoodDbLimit = 10'000;
 
 /// The in-solver nogood database.  Created by Solver::solve when
-/// SearchOptions::nogoods (or a pool) is set; owned by the solver like any
-/// propagator.
+/// SearchOptions::nogoods is set; owned by the solver like any propagator.
 class NogoodStore final : public Propagator {
  public:
   /// `vars` is the total variable count; the store watches every variable.
-  /// `max_lbd` is the pool-import admission cut (block LBD at recording).
   /// `general` enables !=/bound literals: the store then wakes on any
   /// change (their entailment moves on prunes); a non-general store keeps
-  /// the fix-only subscription and rejects non-== pool imports.
+  /// the fix-only subscription.
   NogoodStore(std::int64_t vars, std::int32_t max_length,
-              std::int32_t max_lbd, std::int32_t db_limit,
-              bool general = false);
+              std::int32_t db_limit, bool general = false);
 
   // ---- Propagator interface ------------------------------------------
   PropResult propagate(Solver& solver) override;
@@ -129,8 +97,8 @@ class NogoodStore final : public Propagator {
   /// 1-UIP) last; the caller invokes this right after backtracking the
   /// conflict level, so the last literal is free and every other literal
   /// is still entailed.  `raw_len` is the full decision-set length before
-  /// any shrinking and `lbd` the block LBD of the kept depths (both feed
-  /// the stats and the clause's admission key).  Length-1 nogoods queue a
+  /// any shrinking and `lbd` the block LBD of the kept depths (the stats
+  /// and the clause's pruning tier).  Length-1 nogoods queue a
   /// permanent root strengthening instead of a clause.  The fresh clause
   /// is checked for subsumption against the previous recording: only the
   /// stronger one is kept (stats.nogoods_subsumed counts either outcome).
@@ -138,13 +106,10 @@ class NogoodStore final : public Propagator {
               std::int32_t lbd, SolveStats& stats);
 
   /// Restart-time database maintenance; must run with the trail at the
-  /// root.  Publishes fresh recordings to / imports from `pool` (may be
-  /// null), applies queued root units, drops satisfied clauses, prunes an
+  /// root.  Applies queued root units, drops satisfied clauses, prunes an
   /// oversized database, and rebuilds every watch list.  Returns false
   /// when a root unit or root-falsified clause proves UNSAT.
-  [[nodiscard]] bool restart_maintenance(Solver& solver, NogoodPool* pool,
-                                         std::int32_t lane,
-                                         SolveStats& stats);
+  [[nodiscard]] bool restart_maintenance(Solver& solver, SolveStats& stats);
 
   /// Live (non-subsumed) clause count.
   [[nodiscard]] std::int64_t clause_count() const noexcept { return live_; }
@@ -159,7 +124,6 @@ class NogoodStore final : public Propagator {
     std::int32_t offset;  ///< span start in lits_
     std::int32_t len;
     std::int32_t lbd;  ///< block LBD: recorded, then replay-hit refreshed
-    bool imported;     ///< pool-provided; never re-published
     bool deleted;      ///< subsumed mid-search; dropped at maintenance
   };
 
@@ -186,8 +150,6 @@ class NogoodStore final : public Propagator {
     return impossible(solver.domain(lit.var), lit);
   }
 
-  void add_clause(const Lit* lits, std::int32_t len, std::int32_t lbd,
-                  bool imported);
   /// Appends a WatchRef for `lit` under its variable; the miss mask needs
   /// the variable's domain base, read through solver_ (standalone stores —
   /// tests recording without a solver — fall back to base 0, which is fine
@@ -227,13 +189,10 @@ class NogoodStore final : public Propagator {
   std::vector<std::int32_t> depth_buf_;  ///< refresh_lbd scratch
   std::vector<Lit> ordered_;             ///< record() watch-order scratch
   const Solver* solver_ = nullptr;       ///< bound at attach / maintenance
-  std::size_t export_cursor_ = 0;      ///< first clause not yet published
-  std::size_t pool_cursor_ = 0;        ///< pool read position
   SolveStats* stats_ = nullptr;        ///< bound by the active solve
   std::int32_t last_recorded_ = -1;    ///< subsumption partner (-1: none)
   std::int64_t live_ = 0;              ///< non-deleted clause count
   std::int32_t max_length_;
-  std::int32_t max_lbd_;
   std::int32_t db_limit_;
   bool general_;
 };

@@ -10,8 +10,6 @@
 
 namespace mgrts::csp {
 
-class NogoodPool;
-
 /// Variable selection strategies.
 enum class VarHeuristic {
   kLex,        ///< first unfixed variable in declaration order
@@ -43,8 +41,7 @@ enum class ValHeuristic {
 /// otherwise the search repeats itself).
 enum class RestartPolicy {
   kNone,
-  kLuby,       ///< Luby sequence scaled by `restart_scale` failures
-  kGeometric,  ///< restart_scale * 1.5^k failures
+  kLuby,  ///< Luby sequence scaled by `restart_scale` failures
 };
 
 /// How propagators compute their prunings.  kIncremental and kScratch use
@@ -83,7 +80,8 @@ struct SearchOptions {
   // ---- nogood recording (DESIGN.md §6, §10) ---------------------------
   /// Record the decision-set nogood at every conflict and replay the
   /// database as 2-watched-literal constraints.  Nogoods survive restarts,
-  /// so this mainly pays off combined with RestartPolicy::kLuby/kGeometric.
+  /// so this mainly pays off combined with RestartPolicy::kLuby.  The
+  /// database keeps at most kNogoodDbLimit clauses (csp/nogoods.hpp).
   bool nogoods = false;
   /// Minimize nogoods by conflict analysis before recording (DESIGN.md
   /// §10): the solver tracks a reason per trail entry and keeps only the
@@ -100,21 +98,6 @@ struct SearchOptions {
   /// (long nogoods barely prune).  With shrinking on the cut applies to
   /// the minimized length, not the raw decision-set length.
   std::int32_t nogood_max_length = 24;
-  /// Pool-import admission cut on the block LBD (the number of maximal
-  /// runs of consecutive decision depths among a clause's literals at
-  /// recording time — DESIGN.md §10).  Unminimized decision sets are one
-  /// contiguous run (LBD 1); shrinking opens gaps, and scattered clauses
-  /// replay poorly under chronological backtracking.
-  std::int32_t nogood_max_lbd = 8;
-  /// Soft database size; exceeded entries are pruned (shortest-first, then
-  /// most recent) at the next restart.  Recording pauses at 2x this size.
-  std::int32_t nogood_db_limit = 10'000;
-  /// Optional cross-lane sharing: lanes publish their recorded nogoods at
-  /// every restart and import the other lanes' entries (read-only) into
-  /// their own database.  The pool must outlive the solve; all lanes must
-  /// solve the same model (identical variable ids).
-  NogoodPool* nogood_pool = nullptr;
-  std::int32_t nogood_lane = 0;  ///< this run's id inside nogood_pool
 
   /// Non-chronological backjumping (DESIGN.md §15): when 1-UIP analysis
   /// yields an asserting clause, unwind the trail straight to its assertion
@@ -204,8 +187,6 @@ struct SolveStats {
   std::int64_t restarts = 0;
   std::int64_t max_depth = 0;
   std::int64_t nogoods_recorded = 0;  ///< decision-set nogoods stored
-  std::int64_t nogoods_imported = 0;  ///< nogoods adopted from the pool
-  std::int64_t nogoods_exported = 0;  ///< nogoods published to the pool
   std::int64_t nogood_props = 0;      ///< unit removals by the nogood store
   std::int64_t nogood_conflicts = 0;  ///< conflicts detected by the store
   /// Literal totals over recorded nogoods: the raw decision-set length and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "csp/nogoods.hpp"
@@ -1102,11 +1101,10 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   // keep the fix-only subscription.
   const bool uip_learning =
       options.nogood_shrink && options.nogood_learn == NogoodLearn::kUip1;
-  if ((options.nogoods || options.nogood_pool != nullptr) &&
-      !domains_.empty()) {
+  if (options.nogoods && !domains_.empty()) {
     auto store = std::make_unique<NogoodStore>(
-        variable_count(), options.nogood_max_length, options.nogood_max_lbd,
-        options.nogood_db_limit, /*general=*/uip_learning);
+        variable_count(), options.nogood_max_length, kNogoodDbLimit,
+        /*general=*/uip_learning);
     nogood_store_ = store.get();
     add(std::move(store));
   }
@@ -1242,11 +1240,6 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
         break;
       case RestartPolicy::kLuby:
         failures_until_restart = options.restart_scale * luby(restart_index + 1);
-        break;
-      case RestartPolicy::kGeometric:
-        failures_until_restart = static_cast<std::int64_t>(
-            static_cast<double>(options.restart_scale) *
-            std::pow(1.5, static_cast<double>(restart_index)));
         break;
     }
   };
@@ -1528,12 +1521,11 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
     ++restart_index;
     ++stats_.restarts;
 
-    // Nogood database maintenance runs at the root: pool exchange, unit
-    // folding, pruning, watch rebuild.  Unit folds strengthen the root
+    // Nogood database maintenance runs at the root: unit folding, pruning,
+    // watch rebuild.  Unit folds strengthen the root
     // permanently, so the root mark advances past the re-propagated state.
     if (nogood_store_ != nullptr) {
-      if (!nogood_store_->restart_maintenance(*this, options.nogood_pool,
-                                              options.nogood_lane, stats_)) {
+      if (!nogood_store_->restart_maintenance(*this, stats_)) {
         return finish(SolveStatus::kUnsat);
       }
       if (!propagate_queue()) {

@@ -108,8 +108,8 @@ class Search {
     }
 
     // Variable order within a slot column: processor ids, quality-ascending
-    // on heterogeneous platforms when requested (§VI-A).
-    if (!platform.is_identical() && options.quality_processor_order) {
+    // on heterogeneous platforms (§VI-A).
+    if (!platform.is_identical()) {
       proc_order_ = platform.processors_by_quality(ts);
     } else {
       proc_order_.resize(static_cast<std::size_t>(m_));

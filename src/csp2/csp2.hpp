@@ -65,7 +65,6 @@ struct Options {
   bool symmetry_rule = true;   ///< rule 2, eq. (10)/(13)
   bool slack_prune = true;     ///< per-job remaining-vs-capacity check
   bool tight_demand_prune = true;  ///< identical platforms only
-  bool quality_processor_order = true;  ///< §VI-A variable ordering
   std::int64_t max_nodes = -1;          ///< -1 = unlimited
   support::Deadline deadline;           ///< wall-clock budget
 };

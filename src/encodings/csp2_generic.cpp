@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/tests.hpp"
 #include "csp/propagators.hpp"
 #include "rt/jobs.hpp"
 #include "support/assert.hpp"
@@ -127,45 +126,6 @@ Csp2GenericModel build_csp2_generic(const rt::TaskSet& ts,
       } else {
         solver.add(csp::make_count_eq(std::move(vars), i, ts[i].wcet()));
       }
-    }
-  }
-
-  // Promoted slack/demand rules (root_demand_prunes; identical platforms
-  // only).  All three are necessary conditions — they tighten propagation
-  // but can never flip a verdict.  Root infeasibility is posted as an
-  // unsatisfiable CountEq so it flows through the normal solve path
-  // (kUnsat at root propagation, zero search nodes).
-  if (options.root_demand_prunes && platform.is_identical()) {
-    bool root_infeasible =
-        analysis::forced_demand_test(ts, m).verdict ==
-        analysis::TestVerdict::kInfeasible;
-    std::vector<std::int32_t> tight_per_slot(static_cast<std::size_t>(T), 0);
-    for (TaskId i = 0; i < n; ++i) {
-      // A job's window capacity is D_i slots.
-      if (ts[i].wcet() > ts[i].deadline()) root_infeasible = true;  // slack
-      if (root_infeasible) break;
-      if (ts[i].wcet() != ts[i].deadline()) continue;
-      // Tight jobs: each must occupy exactly one processor in *every* slot
-      // of its window (the dedicated solver's slack rule, made
-      // declarative).
-      for (Time k = 0; k < ts.jobs_per_hyperperiod(i); ++k) {
-        rt::for_each_window_slot(ts, i, k, [&](Time t) {
-          ++tight_per_slot[static_cast<std::size_t>(t)];
-          std::vector<VarId> column;
-          column.reserve(static_cast<std::size_t>(m));
-          for (ProcId j = 0; j < m; ++j) column.push_back(model.var(j, t));
-          solver.add(csp::make_count_eq(std::move(column), i, 1));
-        });
-      }
-    }
-    // Counting variant: more tight jobs over one slot than processors is a
-    // pigeonhole the per-job counters cannot see at the root.
-    for (const std::int32_t tight : tight_per_slot) {
-      if (tight > m) root_infeasible = true;
-    }
-    if (root_infeasible) {
-      // count(idle over {x}) == 2 is unsatisfiable over a single variable.
-      solver.add(csp::make_count_eq({model.var(0, 0)}, idle, 2));
     }
   }
 

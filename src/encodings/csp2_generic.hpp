@@ -40,18 +40,6 @@ struct Csp2GenericOptions {
   /// Post the symmetry-breaking chains (rule (10), restricted to identical
   /// groups as in rule (13) on heterogeneous platforms).
   bool symmetry_chains = true;
-  /// Promote the dedicated solver's slack/demand pruning rules (the
-  /// bench_ablation_csp2_rules extensions) into the model itself —
-  /// identical platforms only, necessary conditions, so the feasibility
-  /// verdict never changes:
-  ///   * a job whose WCET exceeds its window capacity makes the model
-  ///     root-infeasible (the solver reports kUnsat without search);
-  ///   * a *tight* job (WCET == window capacity) must run in every slot of
-  ///     its window: posted as a per-slot-column CountEq(task, 1), which
-  ///     keeps pruning throughout the search, not just at the root;
-  ///   * more tight jobs over a slot than processors, or forced demand
-  ///     over any prefix [0, L) exceeding m*L, is root-infeasible.
-  bool root_demand_prunes = false;
 };
 
 struct Csp2GenericModel {

@@ -31,8 +31,7 @@ SolverSpec csp2_spec(csp2::ValueOrder order, std::int64_t time_limit_ms,
   return spec;
 }
 
-SolverSpec portfolio_spec(std::int64_t time_limit_ms,
-                          std::int32_t random_lanes, bool presolve,
+SolverSpec portfolio_spec(std::int64_t time_limit_ms, bool presolve,
                           bool diverse_lanes) {
   SolverSpec spec;
   spec.label = presolve ? "CSP2-pipeline" : "CSP2-portfolio";
@@ -40,10 +39,7 @@ SolverSpec portfolio_spec(std::int64_t time_limit_ms,
   spec.config.time_limit_ms = time_limit_ms;
   spec.config.pipeline =
       presolve ? core::PipelineOptions::full() : core::PipelineOptions::none();
-  spec.config.portfolio.random_lanes = random_lanes;
-  spec.config.portfolio.paper_faithful = true;
-  spec.config.portfolio.pruned_lane = diverse_lanes;
-  spec.config.portfolio.local_search_lane = diverse_lanes;
+  spec.config.portfolio.diverse_lanes = diverse_lanes;
   return spec;
 }
 
@@ -135,7 +131,7 @@ std::optional<SolverSpec> spec_from_name(const std::string& name,
   if (name == "pipeline") return pipeline_spec(time_limit_ms);
   if (name == "portfolio") return portfolio_spec(time_limit_ms);
   if (name == "portfolio-raw") {
-    return portfolio_spec(time_limit_ms, 1, false, false);
+    return portfolio_spec(time_limit_ms, false, false);
   }
   if (name == "presolve-probe") return presolve_probe_spec(time_limit_ms);
   if (name == "presolve-probe-noflow") {

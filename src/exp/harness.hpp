@@ -51,10 +51,9 @@ struct SolverSpec {
 /// csp2-presolve) before lanes launch and relabels the spec
 /// "CSP2-pipeline"; `diverse_lanes` adds the slack/demand-pruned CSP2 and
 /// min-conflicts lanes.  Defaults give the full diversified pipeline
-/// portfolio; portfolio_spec(ms, n, false, false) is PR 2's raw four-order
-/// race.
+/// portfolio; portfolio_spec(ms, false, false) races five lanes, the four
+/// value orders and the randomized generic lane.
 [[nodiscard]] SolverSpec portfolio_spec(std::int64_t time_limit_ms,
-                                        std::int32_t random_lanes = 1,
                                         bool presolve = true,
                                         bool diverse_lanes = true);
 

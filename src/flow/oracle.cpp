@@ -39,6 +39,50 @@ std::optional<std::int64_t> forward_arcs(const rt::TaskSet& ts) {
   return total;
 }
 
+/// The deadline as the loops over slots and arcs ask it: once every 65,536
+/// of them, never at the first, through expired() as Dinic asks it (no
+/// heartbeat tick, no fault evaluation).  The loops run in blocks and are
+/// counted a block at a time: a count and a test per job or per slot cost
+/// a median Table-I oracle call ~5%.
+class Checkpoint {
+ public:
+  static constexpr std::int64_t kEvery = 65'536;
+
+  explicit Checkpoint(const support::Deadline& deadline)
+      : deadline_(deadline) {}
+
+  /// Counts `steps` more iterations; true when they crossed a multiple of
+  /// kEvery and the deadline has run out.
+  [[nodiscard]] bool expired(std::int64_t steps) {
+    const std::int64_t before = done_;
+    done_ += steps;
+    return before / kEvery != done_ / kEvery && deadline_.expired();
+  }
+
+  /// How many loop steps worth `weight` iterations each (a job's arcs)
+  /// make a block of about kEvery iterations.
+  [[nodiscard]] static std::int64_t block(std::int64_t weight) {
+    return std::max<std::int64_t>(1, kEvery / weight);
+  }
+
+  /// Runs `body(s)` for every slot s in [0, T), in blocks of kEvery slots
+  /// counted after each; false once the deadline stopped it.
+  template <typename Body>
+  [[nodiscard]] bool walk_slots(Index T, const Body& body) {
+    for (Index begin = 0; begin < T; begin += kEvery) {
+      const auto end =
+          static_cast<Index>(std::min<std::int64_t>(T, begin + kEvery));
+      for (Index s = begin; s < end; ++s) body(s);
+      if (expired(end - begin)) return false;
+    }
+    return true;
+  }
+
+ private:
+  const support::Deadline& deadline_;
+  std::int64_t done_ = 0;
+};
+
 /// The job -> slot network in compressed sparse row form: the arcs of node
 /// u are [head[u], head[u+1]); arc a enters to[a] with residual capacity
 /// cap[a], and rev[a] is its residual twin.
@@ -61,8 +105,9 @@ struct Network {
 };
 
 /// Lays the network out straight from the task parameters, in the node and
-/// arc order oracle.hpp describes.
-Network build(const rt::TaskSet& ts, std::int32_t m, Index jobs, Index arcs) {
+/// arc order oracle.hpp describes; nullopt once `checkpoint` expires.
+std::optional<Network> build(const rt::TaskSet& ts, std::int32_t m,
+                             Index jobs, Index arcs, Checkpoint& checkpoint) {
   const auto T = static_cast<Index>(ts.hyperperiod());
   Network net;
   net.first_slot = 1 + jobs;
@@ -81,29 +126,48 @@ Network build(const rt::TaskSet& ts, std::int32_t m, Index jobs, Index arcs) {
     const rt::Task& task = ts[i];
     const auto D = static_cast<Index>(task.deadline());
     const Time count = ts.jobs_per_hyperperiod(i);
-    for (Time k = 0; k < count; ++k, ++job) {
-      net.head[ix(job) + 1] = 1 + D;
-      const auto release =
-          static_cast<Index>(task.offset() + k * task.period());
-      ++slot_degree[release];
-      if (release + D < T) {
-        --slot_degree[release + D];
-      } else if (release + D > T) {  // the window wraps past T
-        ++slot_degree[0];
-        --slot_degree[release + D - T];
+    for (Time first = 0; first < count; first += Checkpoint::kEvery) {
+      const Time last = std::min(count, first + Checkpoint::kEvery);
+      for (Time k = first; k < last; ++k, ++job) {
+        net.head[ix(job) + 1] = 1 + D;
+        const auto release =
+            static_cast<Index>(task.offset() + k * task.period());
+        ++slot_degree[release];
+        if (release + D < T) {
+          --slot_degree[release + D];
+        } else if (release + D > T) {  // the window wraps past T
+          ++slot_degree[0];
+          --slot_degree[release + D - T];
+        }
       }
+      if (checkpoint.expired(last - first)) return std::nullopt;
     }
   }
-  for (Index s = 0, covering = 0; s < T; ++s) {
-    covering += slot_degree[s];
-    slot_degree[s] = covering + 1;
+  Index covering = 0;
+  if (!checkpoint.walk_slots(T, [&](Index s) {
+        covering += slot_degree[s];
+        slot_degree[s] = covering + 1;
+      })) {
+    return std::nullopt;
   }
   std::partial_sum(net.head.begin(), net.head.end(), net.head.begin());
   MGRTS_ASSERT(net.head[ix(nodes)] == arcs);
 
-  net.to.resize(ix(arcs));
-  net.rev.resize(ix(arcs));
-  net.cap.assign(ix(arcs), 0);
+  // The arc arrays' zero fill touches every page of them, tens of
+  // milliseconds on a long hyperperiod, so they grow a checked block of
+  // 65,536 arcs at a time.
+  net.to.reserve(ix(arcs));
+  net.rev.reserve(ix(arcs));
+  net.cap.reserve(ix(arcs));
+  for (Index size = 0; size < arcs;) {
+    const auto grown = static_cast<Index>(
+        std::min<std::int64_t>(arcs, size + Checkpoint::kEvery));
+    net.to.resize(ix(grown));
+    net.rev.resize(ix(grown));
+    net.cap.resize(ix(grown));
+    if (checkpoint.expired(grown - size)) return std::nullopt;
+    size = grown;
+  }
   auto link = [&](Index a, Index u, Index b, Index v, std::int32_t cap) {
     net.to[ix(a)] = v;
     net.rev[ix(a)] = b;
@@ -122,19 +186,26 @@ Network build(const rt::TaskSet& ts, std::int32_t m, Index jobs, Index arcs) {
     const auto C = static_cast<std::int32_t>(task.wcet());
     const auto D = static_cast<Index>(task.deadline());
     const Time count = ts.jobs_per_hyperperiod(i);
-    for (Time k = 0; k < count; ++k, ++job) {
-      Index a = net.begin(job);
-      link(job - 1, Network::kSource, a, job, C);  // source arcs: job order
-      auto s = static_cast<Index>(task.offset() + k * task.period());
-      for (Index d = 0; d < D; ++d) {
-        link(++a, job, next[ix(s)]++, net.first_slot + s, 1);
-        if (++s == T) s = 0;
+    const Time block = Checkpoint::block(1 + D);
+    for (Time first = 0; first < count; first += block) {
+      const Time last = std::min(count, first + block);
+      for (Time k = first; k < last; ++k, ++job) {
+        Index a = net.begin(job);
+        link(job - 1, Network::kSource, a, job, C);  // source arcs: job order
+        auto s = static_cast<Index>(task.offset() + k * task.period());
+        for (Index d = 0; d < D; ++d) {
+          link(++a, job, next[ix(s)]++, net.first_slot + s, 1);
+          if (++s == T) s = 0;
+        }
       }
+      if (checkpoint.expired((last - first) * (1 + D))) return std::nullopt;
     }
   }
-  for (Index s = 0; s < T; ++s) {
-    const Index slot = net.first_slot + s;
-    link(net.end(slot) - 1, slot, net.begin(net.sink) + s, net.sink, m);
+  if (!checkpoint.walk_slots(T, [&](Index s) {
+        const Index slot = net.first_slot + s;
+        link(net.end(slot) - 1, slot, net.begin(net.sink) + s, net.sink, m);
+      })) {
+    return std::nullopt;
   }
   return net;
 }
@@ -143,31 +214,42 @@ Network build(const rt::TaskSet& ts, std::int32_t m, Index jobs, Index arcs) {
 /// index), each task's jobs in index order, each job claiming its earliest
 /// slots whose sink arc still has room.  `first_job[i]` is task i's first
 /// job node and `first_job[n]` the first slot node.  Returns the flow
-/// placed.
-std::int64_t warm_start(Network& net, const rt::TaskSet& ts,
-                        const std::vector<Index>& first_job) {
+/// placed, or nullopt once `checkpoint` expires.
+std::optional<std::int64_t> warm_start(Network& net, const rt::TaskSet& ts,
+                                       const std::vector<Index>& first_job,
+                                       Checkpoint& checkpoint) {
   std::vector<TaskId> order(static_cast<std::size_t>(ts.size()));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
     return ts[a].d_minus_c() < ts[b].d_minus_c();
   });
   std::int64_t placed = 0;
+  const auto place = [&](Index job) {
+    const Index from_source = net.rev[ix(net.begin(job))];
+    const std::int32_t need = net.cap[ix(from_source)];
+    std::int32_t got = 0;
+    for (Index a = net.begin(job) + 1; a < net.end(job) && got < need; ++a) {
+      const Index to_sink = net.end(net.to[ix(a)]) - 1;
+      if (net.cap[ix(to_sink)] == 0) continue;
+      net.push(a, 1);
+      net.push(to_sink, 1);
+      ++got;
+    }
+    net.push(from_source, got);
+    placed += got;
+  };
   for (const TaskId i : order) {
     const auto at = static_cast<std::size_t>(i);
-    for (Index job = first_job[at]; job < first_job[at + 1]; ++job) {
-      const Index from_source = net.rev[ix(net.begin(job))];
-      const std::int32_t need = net.cap[ix(from_source)];
-      std::int32_t got = 0;
-      for (Index a = net.begin(job) + 1; a < net.end(job) && got < need;
-           ++a) {
-        const Index to_sink = net.end(net.to[ix(a)]) - 1;
-        if (net.cap[ix(to_sink)] == 0) continue;
-        net.push(a, 1);
-        net.push(to_sink, 1);
-        ++got;
+    const Index block =
+        static_cast<Index>(Checkpoint::block(1 + ts[i].deadline()));
+    for (Index first = first_job[at]; first < first_job[at + 1];
+         first += block) {
+      const Index last = std::min(first_job[at + 1], first + block);
+      for (Index job = first; job < last; ++job) place(job);
+      if (checkpoint.expired(std::int64_t{last - first} *
+                             (1 + ts[i].deadline()))) {
+        return std::nullopt;
       }
-      net.push(from_source, got);
-      placed += got;
     }
   }
   return placed;
@@ -303,13 +385,19 @@ std::optional<OracleResult> decide_feasibility(
   const Index jobs = first_job.back() - 1;
 
   support::fault_point(support::FaultSite::kFlowNetwork);
-  Network net = build(ts, m, jobs, static_cast<Index>(2 * *forward));
+  Checkpoint checkpoint(deadline);
+  std::optional<Network> built =
+      build(ts, m, jobs, static_cast<Index>(2 * *forward), checkpoint);
+  if (!built) return std::nullopt;
+  Network& net = *built;
+  const std::optional<std::int64_t> placed =
+      warm_start(net, ts, first_job, checkpoint);
+  if (!placed) return std::nullopt;
 
   OracleResult result;
   result.demand = demand;
   const std::optional<std::int64_t> flow =
-      dinic(net, warm_start(net, ts, first_job), demand, deadline,
-            result.phases);
+      dinic(net, *placed, demand, deadline, result.phases);
   if (!flow) return std::nullopt;
   result.flow = *flow;
   MGRTS_ASSERT(result.flow <= demand);
@@ -335,15 +423,17 @@ std::optional<OracleResult> decide_feasibility(
   }
   Schedule schedule(T, m);
   std::vector<TaskId> cells(static_cast<std::size_t>(m) + 1);
-  for (Index s = 0; s < static_cast<Index>(T); ++s) {
-    const Index slot = net.first_slot + s;
-    std::size_t busy = 0;
-    for (Index b = net.begin(slot); b < net.end(slot) - 1; ++b) {
-      cells[busy] = task_of[ix(net.to[ix(b)])];
-      busy += static_cast<std::size_t>(net.cap[ix(b)] != 0);
-    }
-    MGRTS_ASSERT(busy <= static_cast<std::size_t>(m));
-    std::copy_n(cells.begin(), busy, schedule.row(s).begin());
+  if (!checkpoint.walk_slots(static_cast<Index>(T), [&](Index s) {
+        const Index slot = net.first_slot + s;
+        std::size_t busy = 0;
+        for (Index b = net.begin(slot); b < net.end(slot) - 1; ++b) {
+          cells[busy] = task_of[ix(net.to[ix(b)])];
+          busy += static_cast<std::size_t>(net.cap[ix(b)] != 0);
+        }
+        MGRTS_ASSERT(busy <= static_cast<std::size_t>(m));
+        std::copy_n(cells.begin(), busy, schedule.row(s).begin());
+      })) {
+    return std::nullopt;
   }
   result.schedule = std::move(schedule);
   return result;

@@ -31,9 +31,11 @@
 // and stops as soon as the demand flows.
 //
 // Deadline.  The three-argument form asks a support::Deadline before each
-// Dinic phase and gives up with no verdict once it has expired or been
-// cancelled; the size guard below bounds the network, the deadline bounds
-// the time spent on it.
+// Dinic phase, and after each block of about 65,536 slots or arcs that the
+// network build, the warm start and the witness walk (never before the
+// first block ends), and gives up with no verdict once it has expired or
+// been cancelled; the size guard below bounds the network, the deadline
+// bounds the time spent on it.
 //
 // Witness.  At most m tasks occupy any slot, so handing them processors in
 // ascending task order gives the canonical representative the CSP2
@@ -91,10 +93,11 @@ struct OracleResult {
                                               const rt::Platform& platform);
 
 /// The same decision under a time bound: `deadline` is asked before every
-/// Dinic phase (expired(), which also sees its cancel token), and nullopt
-/// comes back once it has run out, never a partial verdict.  An instance
-/// the warm start settles needs no phase and always returns.  Throws as
-/// the two-argument form does.
+/// Dinic phase and after each block of about 65,536 slots or arcs walked
+/// outside Dinic (expired(), which also sees its cancel token), and
+/// nullopt comes back once it has run out, never a partial verdict.  A
+/// network of fewer slots and arcs that the warm start settles is never
+/// asked and always returns.  Throws as the two-argument form does.
 [[nodiscard]] std::optional<OracleResult> decide_feasibility(
     const rt::TaskSet& ts, const rt::Platform& platform,
     const support::Deadline& deadline);

@@ -25,6 +25,9 @@ const char* to_string(Status status) {
 
 namespace {
 
+/// Probability of a random-walk move instead of the greedy one.
+constexpr double kRandomWalk = 0.08;
+
 class MinConflicts {
  public:
   MinConflicts(const rt::TaskSet& ts, std::int32_t m, const Options& options)
@@ -152,7 +155,7 @@ class MinConflicts {
     Time best = -1;
     std::int32_t best_occ = 0;
     std::int64_t ties = 0;
-    const bool walk = rng.chance(options_.random_walk);
+    const bool walk = rng.chance(kRandomWalk);
     for (const Time s : job.slots) {
       if (in_use_[static_cast<std::size_t>(s)]) continue;
       const auto occ = occupancy_[static_cast<std::size_t>(s)];

@@ -36,8 +36,6 @@ struct Options {
   std::int64_t iterations_per_restart = 50'000;
   /// Number of random restarts before giving up.
   std::int64_t restarts = 8;
-  /// Probability of a random-walk move instead of the greedy one.
-  double random_walk = 0.08;
   support::Deadline deadline;
 };
 

@@ -11,6 +11,12 @@ namespace mgrts::serve {
 
 namespace {
 
+/// Solve attempts when a request carries no `retries` header (one retry of
+/// crash-type failures, the resident-service default), and the ceiling on
+/// the `retries`-derived count.
+constexpr std::int64_t kDefaultAttempts = 2;
+constexpr std::int64_t kMaxAttempts = 4;
+
 std::int64_t clamp_int(std::int64_t value, std::int64_t lo, std::int64_t hi) {
   return std::max(lo, std::min(value, hi));
 }
@@ -171,8 +177,7 @@ Message Service::handle_solve(const Message& request,
       options_.cache.capacity > 0 && request.get("no-cache") == std::nullopt;
   std::string key;
   if (use_cache) {
-    key = core::canonical_key(instance.tasks, instance.platform,
-                              options_.canonical);
+    key = core::canonical_key(instance.tasks, instance.platform);
     if (const auto cached = cache_.lookup(key)) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -195,10 +200,10 @@ Message Service::handle_solve(const Message& request,
 
   core::BatchPolicy policy;
   policy.workers = 1;  // the server fans out across requests, not within one
-  std::int64_t attempts = options_.default_attempts;
+  std::int64_t attempts = kDefaultAttempts;
   if (const auto retries = request.get_int("retries")) attempts = *retries + 1;
-  policy.max_attempts = static_cast<std::int32_t>(
-      clamp_int(attempts, 1, options_.max_attempts_cap));
+  policy.max_attempts =
+      static_cast<std::int32_t>(clamp_int(attempts, 1, kMaxAttempts));
 
   core::BatchHealth health;
   const std::vector<core::SolveReport> reports = core::solve_batch(

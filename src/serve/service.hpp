@@ -9,8 +9,9 @@
 //
 // Solve requests run through core::solve_batch as a single-job batch, so
 // the serving path inherits the library path's whole containment stack:
-// crash-type causes retried with widened budgets and fresh seeds,
-// exhausted jobs quarantined, every outcome tagged with the canonical
+// crash-type causes retried with widened budgets and fresh seeds (one
+// retry unless a `retries` header asks for 0 to 3), exhausted jobs
+// quarantined, every outcome tagged with the canonical
 // core::FailureCause.  Decisive verdicts land in a canonicalized
 // VerdictCache (permutation / identical-platform scaling invariant), so
 // repeat-heavy request mixes are answered in microseconds with provenance
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/canonical.hpp"
 #include "core/solve.hpp"
 #include "serve/cache.hpp"
 #include "serve/wire.hpp"
@@ -38,17 +38,10 @@ struct ServiceOptions {
   /// Hard ceiling on any request's budget — a resident daemon never grants
   /// an unlimited solve, whatever the client asks for.
   std::int64_t max_timeout_ms = 30'000;
-  /// Ceiling on the `retries`-derived attempt count.
-  std::int32_t max_attempts_cap = 4;
-  /// Attempts when the request carries no `retries` header (2 = one retry
-  /// of crash-type failures, the resident-service default).
-  std::int32_t default_attempts = 2;
   /// Default backend for solve requests without a `method` header.
   core::Method method = core::Method::kCsp2Dedicated;
   /// Verdict-cache sizing (capacity 0 disables caching).
   CacheOptions cache;
-  /// Canonicalization applied to cache keys.
-  core::CanonicalOptions canonical;
   /// Recent-latency window used for the health block's p50/p99.
   std::size_t latency_window = 4'096;
 };

@@ -105,7 +105,7 @@ gen::ParamOrder order_from(const std::string& text) {
 // --------------------------------------------------- run-record body text
 //
 // One RunRecord serializes to a "run" line (verdict, flags, cause, nodes,
-// seconds, decided-by) followed by an optional "ng" line (the 11
+// seconds, decided-by) followed by an optional "ng" line (the 9
 // NogoodStats counters in core::kNogoodCounters order, emitted only when
 // any is nonzero) and one "prop" line per propagator row.  seconds travel
 // as %.17g so the double round-trips bit-exactly — record identity across

@@ -23,6 +23,9 @@ const char* to_string(SimStatus status) {
 
 namespace {
 
+/// Hyperperiod boundaries to explore before giving up on periodicity.
+constexpr Time kMaxHyperperiods = 8;
+
 /// Backlog of one task: the active job, if any.
 struct Backlog {
   Time abs_deadline = -1;  ///< -1: no active job
@@ -79,7 +82,7 @@ SimResult simulate(const rt::TaskSet& ts, const rt::Platform& platform,
   std::vector<TaskId> active;
   active.reserve(static_cast<std::size_t>(n));
 
-  const Time horizon = (options.max_hyperperiods + first_boundary / T) * T;
+  const Time horizon = (kMaxHyperperiods + first_boundary / T) * T;
   for (Time t = 0; t < horizon; ++t) {
     // Boundary bookkeeping.  Snapshots are normalized to the boundary time
     // (relative deadlines), otherwise carried-over jobs of offset tasks

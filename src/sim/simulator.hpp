@@ -47,8 +47,6 @@ struct SimOptions {
   /// For kFixedPriority: task ids from highest to lowest priority; must be
   /// a permutation of 0..n-1.
   std::vector<rt::TaskId> priority;
-  /// Hyperperiod boundaries to explore before giving up on periodicity.
-  std::int64_t max_hyperperiods = 8;
 };
 
 enum class SimStatus {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/solve.hpp"
 #include "exp/harness.hpp"
@@ -92,21 +95,60 @@ TEST(Portfolio, LaneLineUpMatchesConfig) {
   SolveConfig config;
   config.time_limit_ms = 5'000;
   config.pipeline = PipelineOptions::none();
-  config.portfolio.random_lanes = 0;
-  config.portfolio.pruned_lane = false;
-  config.portfolio.local_search_lane = false;
+  config.portfolio.diverse_lanes = false;
   const PortfolioReport race =
       solve_portfolio(example1(), Platform::identical(2), config);
-  EXPECT_EQ(race.lanes.size(), 4u);  // just the §V-C2 value orders
+  // The §V-C2 value orders and the randomized generic lane.
+  ASSERT_EQ(race.lanes.size(), 5u);
+  EXPECT_EQ(race.lanes[4].label, "CSP2(generic)+rand0");
   EXPECT_GE(race.winner, 0);
 
-  config.portfolio.pruned_lane = true;
-  config.portfolio.local_search_lane = true;
+  config.portfolio.diverse_lanes = true;
   const PortfolioReport diverse =
       solve_portfolio(example1(), Platform::identical(2), config);
-  ASSERT_EQ(diverse.lanes.size(), 6u);
+  ASSERT_EQ(diverse.lanes.size(), 7u);
   EXPECT_EQ(diverse.lanes[4].label, "CSP2+(D-C)+prunes");
   EXPECT_EQ(diverse.lanes[5].label, "min-conflicts");
+  EXPECT_EQ(diverse.lanes[6].label, "CSP2(generic)+rand0");
+}
+
+// The registry names a shard request or a bench races by, tied to the
+// lanes that actually start: presolve off so every lane launches, and a
+// node budget so the race ends whatever the lanes find.
+TEST(Portfolio, RegistryNamesRaceThePinnedLaneLineUp) {
+  const auto labels = [](const std::string& name, const Platform& platform) {
+    const std::optional<exp::SolverSpec> spec =
+        exp::spec_from_name(name, /*time_limit_ms=*/5'000);
+    EXPECT_TRUE(spec.has_value()) << name;
+    if (!spec) return std::vector<std::string>{};
+    SolveConfig config = spec->config;
+    config.pipeline = PipelineOptions::none();
+    config.max_nodes = 2'000;
+    std::vector<std::string> out;
+    for (const LaneOutcome& lane :
+         solve_portfolio(example1(), platform, config).lanes) {
+      out.push_back(lane.label);
+    }
+    return out;
+  };
+  const Platform identical = Platform::identical(2);
+  const Platform heterogeneous =
+      Platform::heterogeneous({{1, 1}, {1, 2}, {2, 1}});
+  const std::vector<std::string> orders = {"CSP2+RM", "CSP2+DM", "CSP2+(T-C)",
+                                           "CSP2+(D-C)"};
+  const auto with = [&](std::vector<std::string> lanes) {
+    lanes.insert(lanes.begin(), orders.begin(), orders.end());
+    return lanes;
+  };
+  EXPECT_EQ(labels("portfolio", identical),
+            with({"CSP2+(D-C)+prunes", "min-conflicts",
+                  "CSP2(generic)+rand0"}));
+  EXPECT_EQ(labels("portfolio", heterogeneous),
+            with({"CSP2+(D-C)+prunes", "CSP2(generic)+rand0"}));
+  EXPECT_EQ(labels("portfolio-raw", identical),
+            with({"CSP2(generic)+rand0"}));
+  EXPECT_EQ(labels("portfolio-raw", heterogeneous),
+            with({"CSP2(generic)+rand0"}));
 }
 
 TEST(Portfolio, PresolveDecidesBeforeAnyLaneLaunches) {

@@ -139,16 +139,6 @@ TEST(SolveInstance, NodeLimitRespected) {
               report.verdict == Verdict::kFeasible);
 }
 
-TEST(SolveInstance, ValidationCanBeDisabled) {
-  SolveConfig config;
-  config.method = Method::kCsp2Dedicated;
-  config.validate_witness = false;
-  const SolveReport report =
-      solve_instance(example1(), Platform::identical(2), config);
-  ASSERT_EQ(report.verdict, Verdict::kFeasible);
-  EXPECT_TRUE(report.witness_valid);  // trusted by request
-}
-
 // ------------------------------------------------------------ min processors
 
 TEST(MinProcessors, Example1NeedsExactlyTwo) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/solve.hpp"
-#include "csp/nogoods.hpp"
 #include "csp/propagators.hpp"
 #include "csp/solver.hpp"
 #include "encodings/csp1.hpp"
@@ -567,40 +566,6 @@ TEST(Nogoods, ShrinkKeepsVerdictsUnderRandomizedSearchOnCsp2) {
     ASSERT_TRUE(decided(shrunk.status)) << "instance " << index;
     EXPECT_EQ(shrunk.status, raw.status) << "instance " << index;
   }
-}
-
-TEST(Nogoods, PoolSharesRecordingsAcrossLanes) {
-  // Two lanes solve the same UNSAT model sequentially through one pool:
-  // lane 0 publishes at its restarts, lane 1 imports at its own.
-  auto build = [](Solver& solver, std::vector<VarId>& vars) {
-    for (int k = 0; k < 8; ++k) vars.push_back(solver.add_variable(0, 6));
-    solver.add(make_all_different_except(vars, /*except=*/-9));
-    solver.add(make_count_eq(vars, /*value=*/6, /*target=*/1));
-  };
-  NogoodPool pool;
-  auto run = [&](std::int32_t lane) {
-    Solver solver;
-    std::vector<VarId> vars;
-    build(solver, vars);
-    SearchOptions options;
-    options.val_heuristic = ValHeuristic::kRandom;
-    options.random_var_ties = true;
-    options.restart = RestartPolicy::kLuby;
-    options.restart_scale = 2;
-    options.seed = 17 + static_cast<std::uint64_t>(lane);
-    options.nogoods = true;
-    options.nogood_pool = &pool;
-    options.nogood_lane = lane;
-    return solver.solve(options);
-  };
-  const auto first = run(0);
-  EXPECT_EQ(first.status, SolveStatus::kUnsat);
-  EXPECT_GT(first.stats.nogoods_recorded, 0);
-  EXPECT_GT(pool.size(), 0u);
-  const auto second = run(1);
-  EXPECT_EQ(second.status, SolveStatus::kUnsat);
-  EXPECT_GT(second.stats.nogoods_imported, 0)
-      << "lane 1 restarted without adopting lane 0's nogoods";
 }
 
 // ------------------------------------------------- symmetry-chain finesse

@@ -1,7 +1,6 @@
 // Conflict-analysis nogood minimization (DESIGN.md §10): the block-LBD
-// measure, a hand-built implication chain whose minimal nogood is pinned
-// exactly, and the pool's LBD-based admission (a long clause glued into
-// one depth block must beat a short clause scattered across the tree).
+// measure and a hand-built implication chain whose minimal nogood is
+// pinned exactly.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -112,53 +111,6 @@ TEST(ConflictAnalysis, RecordsDeepConflictsWhoseMinimizedClauseFits) {
   EXPECT_EQ(shrunk.status, SolveStatus::kUnsat);
   EXPECT_GT(shrunk.stats.nogoods_recorded, 0)
       << "minimized clauses fit the cut and must record";
-}
-
-// ----------------------------------------------------- pool LBD admission
-
-TEST(NogoodPool, AdmitsByLbdNotLength) {
-  Solver solver;  // trail at root; domains stay untouched (no unit clauses)
-  for (int k = 0; k < 10; ++k) static_cast<void>(solver.add_variable(0, 5));
-
-  NogoodPool pool;
-  // Short but wide: 3 literals from 3 scattered decision depths.
-  const std::vector<Lit> wide{Lit::eq(0, 0), Lit::eq(2, 0), Lit::eq(4, 0)};
-  pool.publish(/*lane=*/0, wide.data(), 3, /*lbd=*/3);
-  // Long but narrow: 6 literals from one contiguous depth block.
-  const std::vector<Lit> narrow{Lit::eq(1, 1), Lit::eq(2, 1), Lit::eq(3, 1),
-                                Lit::eq(4, 1), Lit::eq(5, 1), Lit::eq(6, 1)};
-  pool.publish(/*lane=*/0, narrow.data(), 6, /*lbd=*/1);
-
-  // Under the old exchange-by-length rule the short wide clause would be
-  // the preferred import; the LBD cut must admit exactly the narrow one.
-  NogoodStore strict(10, /*max_length=*/24, /*max_lbd=*/2, /*db_limit=*/100);
-  SolveStats stats;
-  ASSERT_TRUE(strict.restart_maintenance(solver, &pool, /*lane=*/1, stats));
-  EXPECT_EQ(stats.nogoods_imported, 1);
-  EXPECT_EQ(strict.clause_count(), 1);
-
-  NogoodStore loose(10, /*max_length=*/24, /*max_lbd=*/3, /*db_limit=*/100);
-  SolveStats loose_stats;
-  ASSERT_TRUE(loose.restart_maintenance(solver, &pool, /*lane=*/1,
-                                        loose_stats));
-  EXPECT_EQ(loose_stats.nogoods_imported, 2);
-  EXPECT_EQ(loose.clause_count(), 2);
-}
-
-TEST(NogoodPool, CarriesLbdThroughImportSince) {
-  NogoodPool pool;
-  const std::vector<Lit> lits{Lit::eq(0, 0), Lit::eq(1, 1), Lit::eq(2, 0)};
-  pool.publish(/*lane=*/0, lits.data(), 3, /*lbd=*/2);
-  std::vector<PooledNogood> out;
-  const std::size_t cursor = pool.import_since(0, /*lane=*/1, out);
-  EXPECT_EQ(cursor, 1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].lbd, 2);
-  EXPECT_EQ(out[0].lits.size(), 3u);
-  // The publishing lane never re-imports its own entry.
-  std::vector<PooledNogood> own;
-  static_cast<void>(pool.import_since(0, /*lane=*/0, own));
-  EXPECT_TRUE(own.empty());
 }
 
 }  // namespace

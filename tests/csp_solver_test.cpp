@@ -215,7 +215,7 @@ TEST(Solver, UnsatProofTerminatesWithRestartsEnabled) {
   for (int k = 0; k < 3; ++k) vars.push_back(solver.add_variable(0, 1));
   solver.add(make_all_different_except(vars, -9));  // pigeonhole
   SearchOptions options;
-  options.restart = RestartPolicy::kGeometric;
+  options.restart = RestartPolicy::kLuby;
   options.restart_scale = 1;
   options.val_heuristic = ValHeuristic::kRandom;
   const auto outcome = solver.solve(options);

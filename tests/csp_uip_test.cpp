@@ -65,9 +65,28 @@ TEST(Uip, FirstUipIsTheImpliedLiteralNotTheDecisions) {
 
 // ------------------------------------------- bound watches fire on prunes
 
+/// A general store holding one clause, recorded before the search starts
+/// and compacted by a root-level maintenance pass, ready to be added to
+/// `solver` from outside (Solver::solve then leaves it on the watch lists).
+std::unique_ptr<NogoodStore> seeded_store(Solver& solver,
+                                          const std::vector<Lit>& clause,
+                                          std::int32_t lbd,
+                                          SolveStats& stats) {
+  auto store = std::make_unique<NogoodStore>(
+      solver.variable_count(), /*max_length=*/24, /*db_limit=*/100,
+      /*general=*/true);
+  store->bind_stats(&stats);
+  store->attach(solver);
+  const auto len = static_cast<std::int32_t>(clause.size());
+  store->record(clause, len, lbd, stats);
+  EXPECT_TRUE(store->restart_maintenance(solver, stats));
+  EXPECT_EQ(store->clause_count(), 1);
+  return store;
+}
+
 TEST(Uip, BoundWatchFiresOnBoundMovementNotOnlyOnFix) {
   // SymmetryChain(x < b) with x decided to 3 prunes b's low values without
-  // ever fixing b; the imported nogood {b >= 3, c == 1} must wake on that
+  // ever fixing b; the stored nogood {b >= 3, c == 1} must wake on that
   // bound movement and assert c != 1 before c is ever decided.
   Solver solver;
   const VarId x = solver.add_variable(2, 3);
@@ -75,18 +94,9 @@ TEST(Uip, BoundWatchFiresOnBoundMovementNotOnlyOnFix) {
   const VarId c = solver.add_variable(0, 1);
   solver.add(make_symmetry_chain({x, b}, /*idle=*/-1));
 
-  NogoodPool pool;
-  const std::vector<Lit> clause{Lit::ge(b, 3), Lit::eq(c, 1)};
-  pool.publish(/*lane=*/0, clause.data(), 2, /*lbd=*/1);
-
-  auto store = std::make_unique<NogoodStore>(3, /*max_length=*/24,
-                                             /*max_lbd=*/8, /*db_limit=*/100,
-                                             /*general=*/true);
   SolveStats replay;
-  store->bind_stats(&replay);
-  ASSERT_TRUE(store->restart_maintenance(solver, &pool, /*lane=*/1, replay));
-  EXPECT_EQ(replay.nogoods_imported, 1);
-  solver.add(std::move(store));
+  solver.add(seeded_store(solver, {Lit::ge(b, 3), Lit::eq(c, 1)},
+                          /*lbd=*/1, replay));
 
   SearchOptions options;
   options.var_heuristic = VarHeuristic::kLex;
@@ -103,7 +113,7 @@ TEST(Uip, BoundWatchFiresOnBoundMovementNotOnlyOnFix) {
 // --------------------------------------------------- on-the-fly subsumption
 
 TEST(Uip, FreshRecordingSubsumesThePreviousOne) {
-  NogoodStore store(10, /*max_length=*/24, /*max_lbd=*/8, /*db_limit=*/100,
+  NogoodStore store(10, /*max_length=*/24, /*db_limit=*/100,
                     /*general=*/true);
   SolveStats stats;
   const std::vector<Lit> longer{Lit::eq(0, 1), Lit::eq(1, 1), Lit::eq(2, 1)};
@@ -118,7 +128,7 @@ TEST(Uip, FreshRecordingSubsumesThePreviousOne) {
 }
 
 TEST(Uip, PreviousRecordingAbsorbsARedundantFreshClause) {
-  NogoodStore store(10, 24, 8, 100, /*general=*/true);
+  NogoodStore store(10, 24, 100, /*general=*/true);
   SolveStats stats;
   const std::vector<Lit> shorter{Lit::eq(0, 1), Lit::eq(1, 1)};
   const std::vector<Lit> longer{Lit::eq(0, 1), Lit::eq(1, 1), Lit::eq(2, 1)};
@@ -131,7 +141,7 @@ TEST(Uip, PreviousRecordingAbsorbsARedundantFreshClause) {
 }
 
 TEST(Uip, BoundLiteralsSubsumeByImplication) {
-  NogoodStore store(10, 24, 8, 100, /*general=*/true);
+  NogoodStore store(10, 24, 100, /*general=*/true);
   SolveStats stats;
   // {x>=2, y==1} is a special case of {x>=1, y==1}: the second recording
   // (weaker literals, more general nogood) replaces the first.
@@ -146,24 +156,19 @@ TEST(Uip, BoundLiteralsSubsumeByImplication) {
 // ---------------------------------------------------- replay-hit LBD refresh
 
 TEST(Uip, ReplayHitRefreshesBlockLbdFromCurrentDepths) {
-  // An imported clause arrives with a pessimistic LBD (6); its first replay
-  // fires with both entailed literals glued at consecutive depths 1,2, so
-  // the refresh must drop the clause's LBD into the protected core.
+  // A clause recorded with a pessimistic LBD (6); its first replay fires
+  // with both entailed literals glued at consecutive depths 1,2, so the
+  // refresh must drop the clause's LBD into the protected core.
   Solver solver;
   const VarId a = solver.add_variable(0, 1);
   const VarId b = solver.add_variable(0, 1);
   const VarId c = solver.add_variable(0, 1);
   static_cast<void>(solver.add_variable(0, 1));  // d: keeps the search going
 
-  NogoodPool pool;
-  const std::vector<Lit> clause{Lit::eq(a, 1), Lit::eq(b, 1), Lit::eq(c, 1)};
-  pool.publish(/*lane=*/0, clause.data(), 3, /*lbd=*/6);
-
-  auto store = std::make_unique<NogoodStore>(4, 24, 8, 100, /*general=*/true);
   SolveStats replay;
-  store->bind_stats(&replay);
-  ASSERT_TRUE(store->restart_maintenance(solver, &pool, /*lane=*/1, replay));
-  solver.add(std::move(store));
+  solver.add(seeded_store(solver,
+                          {Lit::eq(a, 1), Lit::eq(b, 1), Lit::eq(c, 1)},
+                          /*lbd=*/6, replay));
 
   SearchOptions options;
   options.var_heuristic = VarHeuristic::kLex;
@@ -198,34 +203,6 @@ TEST(Uip, ForcedReasonTrailWithShrinkOffStaysOnTheDecisionSet) {
   EXPECT_EQ(outcome.stats.nogood_lits_after, outcome.stats.nogood_lits_before);
   EXPECT_EQ(outcome.stats.backjumps, 0);
   EXPECT_GT(outcome.stats.nogoods_recorded, 0);
-}
-
-// Root units are asserted, never watched, so even a fix-only
-// (decision-set) store must adopt a bound unit from the pool — while a
-// length-2 bound clause stays rejected there (its watches would be deaf).
-TEST(Uip, FixOnlyStoreImportsBoundRootUnitsButNotBoundClauses) {
-  NogoodPool pool;
-  const std::vector<Lit> unit{Lit::ge(3, 1)};
-  pool.publish(/*lane=*/0, unit.data(), 1, /*lbd=*/1);
-  const std::vector<Lit> clause{Lit::ge(3, 1), Lit::eq(0, 1)};
-  pool.publish(/*lane=*/0, clause.data(), 2, /*lbd=*/1);
-
-  Solver solver;
-  std::vector<VarId> hole;
-  for (int k = 0; k < 3; ++k) hole.push_back(solver.add_variable(0, 1));
-  static_cast<void>(solver.add_variable(0, 5));  // var 3: the unit's target
-  solver.add(make_all_different_except(hole, /*except=*/-9));  // pigeonhole
-  SearchOptions options;
-  options.var_heuristic = VarHeuristic::kLex;
-  options.nogoods = true;
-  options.nogood_learn = NogoodLearn::kDecisionSet;  // fix-only store
-  options.restart = RestartPolicy::kLuby;
-  options.restart_scale = 1;  // first failure restarts -> pool exchange
-  options.nogood_pool = &pool;
-  options.nogood_lane = 1;
-  const SolveOutcome outcome = solver.solve(options);
-  EXPECT_EQ(outcome.status, SolveStatus::kUnsat);
-  EXPECT_EQ(outcome.stats.nogoods_imported, 1);
 }
 
 // ------------------------------------- non-chronological backjumping (§15)

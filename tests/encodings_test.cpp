@@ -176,60 +176,6 @@ TEST(Csp2Generic, SymmetryChainsPruneSearch) {
   EXPECT_LE(ra.stats.nodes, rb.stats.nodes * 2);
 }
 
-TEST(Csp2Generic, RootDemandPrunesPreserveVerdicts) {
-  // The promoted slack/demand rules are necessary conditions: on every
-  // generated instance the pruned model's verdict equals the plain one.
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    gen::GeneratorOptions options;
-    options.tasks = 4;
-    options.processors = 2;
-    options.t_max = 4;
-    const auto inst = gen::generate_indexed(options, 99, k);
-    const Platform p = Platform::identical(inst.processors);
-
-    Csp2GenericOptions pruned;
-    pruned.root_demand_prunes = true;
-    auto a = build_csp2_generic(inst.tasks, p, pruned);
-    auto b = build_csp2_generic(inst.tasks, p);
-    const auto ra = a.solver->solve({});
-    const auto rb = b.solver->solve({});
-    ASSERT_TRUE(csp::decided(ra.status));
-    ASSERT_TRUE(csp::decided(rb.status));
-    EXPECT_EQ(ra.status, rb.status) << "instance " << k;
-    if (ra.status == csp::SolveStatus::kSat) {
-      EXPECT_TRUE(rt::is_valid_schedule(
-          inst.tasks, p, decode_csp2_generic(a, ra.assignment)));
-    }
-  }
-}
-
-TEST(Csp2Generic, RootDemandPrunesRefuteOverloadWithoutSearch) {
-  // Two always-tight tasks on one processor: forced demand over [0, 2)
-  // exceeds m*L, so the pruned model is unsatisfiable at the root.
-  const TaskSet ts = TaskSet::from_params({{0, 2, 2, 2}, {0, 2, 2, 2}});
-  Csp2GenericOptions pruned;
-  pruned.root_demand_prunes = true;
-  auto model = build_csp2_generic(ts, Platform::identical(1), pruned);
-  const auto outcome = model.solver->solve({});
-  EXPECT_EQ(outcome.status, csp::SolveStatus::kUnsat);
-  EXPECT_EQ(outcome.stats.nodes, 0);
-}
-
-TEST(Csp2Generic, TightJobColumnCountsPostedBehindFlag) {
-  // A task whose window exactly equals its WCET must run in every slot of
-  // that window: with the flag on, the root propagation already fixes the
-  // single-processor column to the tight task.
-  const TaskSet ts = TaskSet::from_params({{0, 2, 2, 4}, {0, 1, 4, 4}});
-  Csp2GenericOptions pruned;
-  pruned.root_demand_prunes = true;
-  auto model = build_csp2_generic(ts, Platform::identical(1), pruned);
-  const auto outcome = model.solver->solve({});
-  ASSERT_EQ(outcome.status, csp::SolveStatus::kSat);
-  // Slots 0 and 1 belong to the tight tau1 in any solution.
-  EXPECT_EQ(outcome.assignment[static_cast<std::size_t>(model.var(0, 0))], 0);
-  EXPECT_EQ(outcome.assignment[static_cast<std::size_t>(model.var(0, 1))], 0);
-}
-
 TEST(Csp2Generic, TooManyTasksRejected) {
   std::vector<rt::TaskParams> params;
   for (int k = 0; k < 64; ++k) params.push_back({0, 1, 1, 1});

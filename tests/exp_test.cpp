@@ -117,20 +117,18 @@ TEST(Harness, PaperLineupIsPaperFaithful) {
 }
 
 TEST(Harness, PortfolioAndPipelineSpecsSelectTheStages) {
-  const SolverSpec raw = portfolio_spec(100, 1, /*presolve=*/false,
+  const SolverSpec raw = portfolio_spec(100, /*presolve=*/false,
                                         /*diverse_lanes=*/false);
   EXPECT_EQ(raw.label, "CSP2-portfolio");
   EXPECT_FALSE(raw.config.pipeline.flow_oracle);
-  EXPECT_FALSE(raw.config.portfolio.pruned_lane);
-  EXPECT_FALSE(raw.config.portfolio.local_search_lane);
+  EXPECT_FALSE(raw.config.portfolio.diverse_lanes);
 
   const SolverSpec piped = portfolio_spec(100);
   EXPECT_EQ(piped.label, "CSP2-pipeline");
   EXPECT_TRUE(piped.config.pipeline.analysis);
   EXPECT_TRUE(piped.config.pipeline.flow_oracle);
   EXPECT_TRUE(piped.config.pipeline.csp2_presolve);
-  EXPECT_TRUE(piped.config.portfolio.pruned_lane);
-  EXPECT_TRUE(piped.config.portfolio.local_search_lane);
+  EXPECT_TRUE(piped.config.portfolio.diverse_lanes);
 
   const SolverSpec staged = pipeline_spec(100);
   EXPECT_EQ(staged.label, "pipeline-CSP2");

@@ -251,8 +251,7 @@ inline void append_params(std::string& out, const rt::TaskParams& p) {
 }  // namespace detail
 
 inline std::string canonical_key(const rt::TaskSet& ts,
-                                 const rt::Platform& platform,
-                                 const CanonicalOptions& options = {}) {
+                                 const rt::Platform& platform) {
   const std::int32_t n = ts.size();
   const std::int32_t m = platform.processors();
 
@@ -270,7 +269,7 @@ inline std::string canonical_key(const rt::TaskSet& ts,
     tasks.push_back(std::move(t));
   }
 
-  if (options.scaling && platform.is_identical()) {
+  if (platform.is_identical()) {
     rt::Time g = 0;
     for (const detail::CanonicalTask& t : tasks) {
       g = std::gcd(g, t.params.offset);
@@ -288,7 +287,7 @@ inline std::string canonical_key(const rt::TaskSet& ts,
     }
   }
 
-  if (options.permutation) std::sort(tasks.begin(), tasks.end());
+  std::sort(tasks.begin(), tasks.end());
 
   std::string key = "v1|";
   key += ts.is_constrained() ? "c|" : "a|";
@@ -299,9 +298,7 @@ inline std::string canonical_key(const rt::TaskSet& ts,
     std::vector<rt::Rate> speeds;
     speeds.reserve(static_cast<std::size_t>(m));
     for (rt::ProcId j = 0; j < m; ++j) speeds.push_back(platform.rate(0, j));
-    if (options.permutation) {
-      std::sort(speeds.begin(), speeds.end(), std::greater<>());
-    }
+    std::sort(speeds.begin(), speeds.end(), std::greater<>());
     key += "un:";
     for (std::size_t j = 0; j < speeds.size(); ++j) {
       if (j != 0) key += ',';

@@ -428,12 +428,6 @@ TEST(CanonicalKey, ScalingInvariantOnIdenticalPlatforms) {
   const rt::Platform platform = testing::example1_platform();
   EXPECT_EQ(core::canonical_key(base, platform),
             core::canonical_key(ts3, platform));
-
-  // ... and scaling can be opted out of.
-  core::CanonicalOptions no_scale;
-  no_scale.scaling = false;
-  EXPECT_NE(core::canonical_key(base, platform, no_scale),
-            core::canonical_key(ts3, platform, no_scale));
 }
 
 TEST(CanonicalKey, ScalingNotAppliedOffIdenticalPlatforms) {
