@@ -74,18 +74,34 @@ SolveReport csp2_presolve_stage(const rt::TaskSet& ts,
 
 // ------------------------------------------------------------- stage 2
 // Exact polynomial feasibility via max-flow.  Produces a canonical witness
-// schedule for feasible instances; memory pressure downgrades to kUnknown
-// (the backend gets its chance) instead of aborting the solve, and so does
-// the stage's deadline running out.
+// schedule for feasible instances.  Memory pressure and the stage's
+// deadline running out downgrade to kUnknown (the backend gets its chance)
+// instead of aborting the solve, unless the density test proves
+// feasibility.
 SolveReport flow_oracle_stage(const rt::TaskSet& ts,
                               const rt::Platform& platform,
                               const support::Deadline& deadline) {
   SolveReport out;
+  // The analysis stage defers feasible answers to this one (necessary-only
+  // mode), so when the oracle cannot answer, re-derive the sufficient
+  // density proof here — sound, witness-less, and far better than
+  // regressing an already-provable instance to full search or a timeout.
+  const auto density_stands = [&](const std::string& why) {
+    const analysis::TestResult density =
+        analysis::density_test(ts, platform.processors());
+    if (density.verdict != analysis::TestVerdict::kFeasible) return false;
+    out.verdict = Verdict::kFeasible;
+    out.decided_by = "analysis:density";
+    out.detail = "flow oracle " + why + "; density proof stands";
+    return true;
+  };
   try {
     std::optional<flow::OracleResult> oracle =
         flow::decide_feasibility(ts, platform, deadline);
     if (!oracle) {
+      // A cancel asks for no answer at all; a deadline stop still owes one.
       const bool cancelled = deadline.cancel_requested();
+      if (!cancelled && density_stands("stopped at its deadline")) return out;
       out.cause =
           cancelled ? FailureCause::kCancelled : FailureCause::kDeadline;
       out.detail = std::string("flow oracle stopped: ") +
@@ -99,19 +115,9 @@ SolveReport flow_oracle_stage(const rt::TaskSet& ts,
   } catch (const ResourceError& e) {
     // The oracle's size guard refused the network before allocating it
     // (more than 50M forward arcs), or an injected fault shadowed that
-    // guard.  The analysis stage defers feasible answers to us
-    // (necessary-only mode), so re-derive the sufficient density proof
-    // here — sound, witness-less, and far better than regressing an
-    // already-provable instance to full search.
-    const bool injected = dynamic_cast<const FaultInjectedError*>(&e);
-    const analysis::TestResult density =
-        analysis::density_test(ts, platform.processors());
-    if (density.verdict == analysis::TestVerdict::kFeasible) {
-      out.verdict = Verdict::kFeasible;
-      out.decided_by = "analysis:density";
-      out.detail = std::string("flow oracle skipped (") + e.what() +
-                   "); density proof stands";
-    } else {
+    // guard.
+    if (!density_stands(std::string("skipped (") + e.what() + ")")) {
+      const bool injected = dynamic_cast<const FaultInjectedError*>(&e);
       out.cause =
           injected ? FailureCause::kFaultInjected : FailureCause::kMemory;
       out.detail = std::string("flow oracle skipped: ") + e.what();

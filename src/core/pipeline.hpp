@@ -196,11 +196,12 @@ struct SolveReport {
                               SolveReport& report);
 
 /// The flow-oracle stage on its own (identical platforms, constrained
-/// deadlines): a canonical witness or an infeasibility proof.  kUnknown
-/// with kDeadline or kCancelled once `deadline` stops it (flow/oracle.hpp
-/// says where it is asked); kUnknown with kMemory (kFaultInjected for an
-/// injected fault) when the oracle's size guard refuses the network and
-/// the density test cannot stand in.
+/// deadlines): a canonical witness or an infeasibility proof.  When the
+/// oracle's size guard refuses the network or `deadline` expires inside it
+/// (flow/oracle.hpp says where it is asked), the density test stands in:
+/// kFeasible by "analysis:density" when it holds, else kUnknown with
+/// kMemory (kFaultInjected for an injected fault) or kDeadline.  A cancel
+/// is kUnknown with kCancelled, density or not.
 [[nodiscard]] SolveReport flow_oracle_stage(const rt::TaskSet& ts,
                                             const rt::Platform& platform,
                                             const support::Deadline& deadline);

@@ -17,7 +17,8 @@ namespace mgrts::dist {
 namespace {
 
 void serve_shard(const serve::Message& request_message, serve::Reply& reply,
-                 std::int64_t beat_interval_ms, ShardCounters& counters) {
+                 std::int64_t beat_interval_ms, std::size_t lanes,
+                 ShardCounters& counters) {
   serve::ShardRequest request;
   try {
     request = serve::parse_shard_request(request_message);
@@ -28,7 +29,7 @@ void serve_shard(const serve::Message& request_message, serve::Reply& reply,
   }
   ++counters.shards;
 
-  ShardProgress progress;
+  ShardProgress progress(request.indices.size());
 
   // The beat thread waits out each interval on a condition variable, so
   // the end of the shard wakes it at once: the trailer below never waits
@@ -45,7 +46,7 @@ void serve_shard(const serve::Message& request_message, serve::Reply& reply,
       serve::ShardBeat beat;
       beat.shard_id = request.shard_id;
       beat.beat = progress.beat();
-      beat.done = progress.completed.load(std::memory_order_relaxed);
+      beat.done = progress.completed();
       beat.total = static_cast<std::int64_t>(request.indices.size());
       if (!reply.send(serve::encode_shard_beat(beat))) break;
       lock.lock();
@@ -56,16 +57,19 @@ void serve_shard(const serve::Message& request_message, serve::Reply& reply,
   std::string refusal_text;
   ShardExecution result;
   try {
-    result = execute_shard(request, reply.cancel(), &progress,
-                           [&](const exp::InstanceRecord& record) {
-      serve::ShardRow row;
-      row.shard_id = request.shard_id;
-      row.record = record;
-      if (!reply.send(serve::encode_shard_row(row))) {
-        throw support::SocketError("coordinator connection lost mid-shard");
-      }
-      ++counters.rows;
-    });
+    result = execute_shard(
+        request, reply.cancel(), &progress,
+        [&](const exp::InstanceRecord& record) {
+          serve::ShardRow row;
+          row.shard_id = request.shard_id;
+          row.record = record;
+          if (!reply.send(serve::encode_shard_row(row))) {
+            throw support::SocketError(
+                "coordinator connection lost mid-shard");
+          }
+          ++counters.rows;
+        },
+        lanes);
   } catch (const ValidationError& e) {
     refusal_kind = "validation";
     refusal_text = e.what();
@@ -98,7 +102,7 @@ void serve_shard(const serve::Message& request_message, serve::Reply& reply,
   // as a whole-shard retry.
   serve::ShardDone trailer;
   trailer.shard_id = request.shard_id;
-  trailer.rows = static_cast<std::int64_t>(result.rows.size());
+  trailer.rows = static_cast<std::int64_t>(result.row_count);
   trailer.health = result.health;
   if (!reply.send(serve::encode_shard_done(trailer))) ++counters.aborted;
 }
@@ -108,10 +112,16 @@ void serve_shard(const serve::Message& request_message, serve::Reply& reply,
 std::shared_ptr<const ShardCounters> add_shard_route(
     serve::Server& server, std::int64_t beat_interval_ms) {
   auto counters = std::make_shared<ShardCounters>();
+  // The coordinator keeps one shard in flight per worker, so the handler
+  // count stands for what a worker cannot see, the workers sharing its
+  // host (DESIGN.md §16): a worker alone on its host runs with one
+  // handler and gets every hardware thread.
+  const std::size_t lanes = std::max<std::size_t>(
+      1, std::thread::hardware_concurrency() / server.handlers());
   serve::Route route;
-  route.handle = [counters, beat_interval_ms](const serve::Message& request,
-                                              serve::Reply& reply) {
-    serve_shard(request, reply, beat_interval_ms, *counters);
+  route.handle = [counters, beat_interval_ms, lanes](
+                     const serve::Message& request, serve::Reply& reply) {
+    serve_shard(request, reply, beat_interval_ms, lanes, *counters);
   };
   route.health = [counters](serve::Message& health) {
     health.set("shards", counters->shards.load());

@@ -125,6 +125,10 @@ class Server {
   [[nodiscard]] const std::string& socket_path() const noexcept {
     return options_.socket_path;
   }
+  /// Connection-handler threads: the most requests served at once.
+  [[nodiscard]] std::size_t handlers() const noexcept {
+    return pool_->worker_count();
+  }
   /// Handlers the watchdog culled for a stalled heartbeat.
   [[nodiscard]] std::int64_t watchdog_culled() const noexcept {
     return watchdog_culled_.load(std::memory_order_relaxed);

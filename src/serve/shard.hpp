@@ -71,9 +71,11 @@ struct ShardRow {
 };
 
 /// Per-shard progress heartbeat.  `beat` is monotone while the executor
-/// makes progress: the solver heartbeat (ticked at every deadline poll)
-/// plus the completed-row count.  A beat that stops changing is a stalled
-/// shard; a closed connection is a dead one — both are cull conditions.
+/// makes progress at its head of line: the solver deadline polls of the
+/// emitted indices and of the first one not yet emitted, plus the
+/// completed-row count (dist::ShardProgress).  A beat that stops changing
+/// is a stalled shard; a closed connection is a dead one — both are cull
+/// conditions.
 struct ShardBeat {
   std::string shard_id;
   std::uint64_t beat = 0;

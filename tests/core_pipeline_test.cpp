@@ -119,7 +119,8 @@ TEST(Pipeline, FlowOracleStopsInsideALongNetworkAtItsDeadline) {
   // window arcs: the network build, the warm start and the witness take
   // far longer than the 5 ms budget, while Dinic needs no phase at all.
   // The oracle must stop inside them, as the presolve stage and as the
-  // method.
+  // method.  The stage then stands on the density proof (density 1.45 on
+  // two processors); the method has none to stand on.
   const TaskSet ts = TaskSet::from_params(
       {{0, 50, 101, 101}, {0, 50, 103, 103}, {0, 50, 107, 107}});
   const Platform p = Platform::identical(2);
@@ -127,21 +128,52 @@ TEST(Pipeline, FlowOracleStopsInsideALongNetworkAtItsDeadline) {
   config.time_limit_ms = 5;
 
   const SolveReport piped = solve_instance(ts, p, config);
-  EXPECT_FALSE(decisive(piped.verdict, piped.complete)) << piped.decided_by;
-  EXPECT_EQ(piped.cause, FailureCause::kDeadline);
-  bool flow_ran = false;
-  for (const StageTiming& stage : piped.stage_times) {
-    if (stage.stage != "flow-oracle") continue;
-    flow_ran = true;
-    EXPECT_EQ(stage.verdict, Verdict::kUnknown);
-  }
-  EXPECT_TRUE(flow_ran);
+  EXPECT_EQ(piped.verdict, Verdict::kFeasible);
+  EXPECT_EQ(piped.decided_by, "analysis:density");
+  EXPECT_FALSE(piped.schedule.has_value());
+  EXPECT_NE(piped.detail.find("stopped at its deadline"), std::string::npos)
+      << piped.detail;
+  ASSERT_FALSE(piped.stage_times.empty());
+  EXPECT_EQ(piped.stage_times.back().stage, "flow-oracle");
+  EXPECT_EQ(piped.stage_times.back().verdict, Verdict::kFeasible);
 
   config.method = Method::kFlowOracle;
   config.pipeline = PipelineOptions::none();
   const SolveReport direct = solve_instance(ts, p, config);
   EXPECT_EQ(direct.verdict, Verdict::kTimeout);
   EXPECT_EQ(direct.cause, FailureCause::kDeadline);
+}
+
+TEST(Pipeline, FlowDeadlineStopFallsBackToTheDeferredDensityProof) {
+  // 22 tasks of C = 1 and D = T = 2,000,000 on one processor (U ~ 1e-5):
+  // a network of 44 million slots, which the oracle cannot build in 20 ms.
+  // The analysis stage deferred its density proof to the oracle; a
+  // deadline stop must recover it instead of answering timeout.  The stage
+  // is called directly: through solve_instance, a loaded machine can spend
+  // the whole 20 ms before the stage starts, and the backend then times
+  // out without it.
+  std::vector<rt::TaskParams> params(22, rt::TaskParams{0, 1, 2'000'000,
+                                                        2'000'000});
+  const TaskSet ts = TaskSet::from_params(params);
+  const SolveReport report = flow_oracle_stage(
+      ts, Platform::identical(1), support::Deadline::after_ms(20));
+  EXPECT_EQ(report.verdict, Verdict::kFeasible);
+  EXPECT_EQ(report.decided_by, "analysis:density");
+  EXPECT_EQ(report.cause, FailureCause::kNone);
+  EXPECT_FALSE(report.schedule.has_value());
+  EXPECT_NE(report.detail.find("flow oracle stopped at its deadline"),
+            std::string::npos)
+      << report.detail;
+
+  // A cancel asks for no answer: the stage stays undecided.
+  support::Deadline cancelled;
+  const support::CancelToken token = support::CancelToken::make();
+  token.cancel();
+  cancelled.set_cancel(token);
+  const SolveReport stopped =
+      flow_oracle_stage(ts, Platform::identical(1), cancelled);
+  EXPECT_EQ(stopped.verdict, Verdict::kUnknown);
+  EXPECT_EQ(stopped.cause, FailureCause::kCancelled);
 }
 
 TEST(Pipeline, AnalysisStageProvesOverCapacityInfeasible) {

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,11 +69,14 @@ void expect_exactly_once_and_sound(const exp::BatchResult& result,
 
 class WorkerFleet {
  public:
-  WorkerFleet(int count, const char* tag) {
+  /// `handlers` per server sets its shards' lanes: hardware threads /
+  /// handlers (dist/worker.hpp).
+  WorkerFleet(int count, const char* tag, std::size_t handlers = 4) {
     for (int w = 0; w < count; ++w) {
       serve::ServerOptions options;
       options.socket_path =
           test_socket_path((std::string(tag) + std::to_string(w)).c_str());
+      options.workers = handlers;
       workers_.push_back(std::make_unique<serve::Server>(options));
       add_shard_route(*workers_.back(), /*beat_interval_ms=*/20);
       workers_.back()->start();
@@ -194,6 +198,46 @@ TEST(DistChaos, StalledShardIsCulledRedispatchedAndMergesClean) {
   EXPECT_GE(stats.redispatched, 1);
   EXPECT_EQ(stats.duplicate_rows, 0);
   expect_exactly_once_and_sound(result, truth, "stall");
+}
+
+TEST(DistChaos, StalledLaneOfAOneHandlerFleetIsCulledInsideTheStall) {
+  // Servers of one handler run each shard on every hardware thread, so
+  // other lanes go on solving while a stalled index waits.  The beat
+  // follows the shard's head of line, so a stall there still freezes it:
+  // the cull cuts the stall short instead of waiting out its cap.
+  const exp::BatchOptions options = chaos_batch();
+  const exp::BatchResult truth = exp::run_batch_sharded(
+      options, kLineup, kTimeLimitMs, FleetOptions{}, nullptr);
+
+  WorkerFleet fleet_procs(2, "lanes", /*handlers=*/1);
+  FleetOptions fleet;
+  fleet.workers = fleet_procs.sockets();
+  fleet.shards = 4;
+  fleet.stall_ms = 250;
+  fleet.poll_interval_ms = 25;
+
+  support::FaultPlan plan;
+  plan.seed = 20090911;
+  plan.rate = 1.0;
+  plan.sites = support::FaultPlan::mask(support::FaultSite::kStall);
+  plan.max_faults = 2;
+  plan.stall_cap_ms = 10'000;  // far beyond the cull, even under TSan
+
+  FleetStats stats;
+  exp::BatchResult result;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    InjectorGuard guard(plan);
+    result =
+        exp::run_batch_sharded(options, kLineup, kTimeLimitMs, fleet, &stats);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_GE(stats.stall_culls, 1);
+  EXPECT_GE(stats.redispatched, 1);
+  EXPECT_EQ(stats.duplicate_rows, 0);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(plan.stall_cap_ms));
+  expect_exactly_once_and_sound(result, truth, "stall on many lanes");
 }
 
 #else  // MGRTS_FAULT_INJECTION

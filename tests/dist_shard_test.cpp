@@ -426,11 +426,14 @@ TEST(MergeDeterminism, UnknownSpecNameRefuses) {
 
 class WorkerFleet {
  public:
-  explicit WorkerFleet(int count, const char* tag) {
+  /// `handlers` per server sets its shards' lanes: hardware threads /
+  /// handlers (dist/worker.hpp).
+  WorkerFleet(int count, const char* tag, std::size_t handlers = 4) {
     for (int w = 0; w < count; ++w) {
       serve::ServerOptions options;
       options.socket_path =
           test_socket_path((std::string(tag) + std::to_string(w)).c_str());
+      options.workers = handlers;
       workers_.push_back(std::make_unique<serve::Server>(options));
       add_shard_route(*workers_.back(), /*beat_interval_ms=*/20);
       workers_.back()->start();
@@ -454,8 +457,16 @@ TEST(MergeDeterminism, FleetsOfOneTwoAndFourWorkersMatchSingleBox) {
   const exp::BatchResult truth = exp::run_batch_sharded(
       options, kLineup, kTimeLimitMs, FleetOptions{}, nullptr);
 
-  for (const int worker_count : {1, 2, 4}) {
-    WorkerFleet fleet_procs(worker_count, "fleet");
+  // Servers of 4 handlers run each shard on one lane up to 4 hardware
+  // threads; servers of 1 handler run it on every hardware thread.
+  const struct {
+    int workers;
+    std::size_t handlers;
+  } fleets[] = {{1, 4}, {2, 4}, {4, 4}, {2, 1}};
+  for (const auto& shape : fleets) {
+    const std::string tag = "workers=" + std::to_string(shape.workers) +
+                            " handlers=" + std::to_string(shape.handlers);
+    WorkerFleet fleet_procs(shape.workers, "fleet", shape.handlers);
     FleetOptions fleet;
     fleet.workers = fleet_procs.sockets();
     // Adversarial boundary: more shards than indices-per-worker divides
@@ -464,10 +475,9 @@ TEST(MergeDeterminism, FleetsOfOneTwoAndFourWorkersMatchSingleBox) {
     FleetStats stats;
     const exp::BatchResult sharded =
         exp::run_batch_sharded(options, kLineup, kTimeLimitMs, fleet, &stats);
-    EXPECT_EQ(stats.duplicate_rows, 0) << worker_count;
-    EXPECT_EQ(stats.local_fallbacks, 0) << worker_count;
-    expect_batches_equal(sharded, truth,
-                         "workers=" + std::to_string(worker_count));
+    EXPECT_EQ(stats.duplicate_rows, 0) << tag;
+    EXPECT_EQ(stats.local_fallbacks, 0) << tag;
+    expect_batches_equal(sharded, truth, tag);
   }
 }
 
@@ -538,7 +548,7 @@ TEST(Worker, ShardEndDoesNotWaitForTheNextBeatTick) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(1'000));
 }
 
-TEST(Executor, CancelStopsAtTheNextIndexBoundary) {
+serve::ShardRequest executor_request() {
   serve::ShardRequest request;
   request.shard_id = "s0/a1";
   request.generator = small_batch().generator;
@@ -546,14 +556,117 @@ TEST(Executor, CancelStopsAtTheNextIndexBoundary) {
   request.specs = {"csp2-dmc"};
   request.time_limit_ms = kTimeLimitMs;
   request.indices = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  return request;
+}
 
-  auto cancel = support::CancelToken::make();
-  int rows_seen = 0;
-  const ShardExecution partial = execute_shard(
-      request, cancel, nullptr, [&](const exp::InstanceRecord&) {
-        if (++rows_seen == 3) cancel.cancel();
-      });
-  EXPECT_EQ(partial.rows.size(), 3u);  // stopped well short of 10
+TEST(ShardProgress, TheBeatFollowsTheHeadOfLine) {
+  // Polls of an index past the head do not move the beat, so a stalled
+  // head freezes it however many lanes still solve behind it.
+  ShardProgress progress(3);
+  EXPECT_EQ(progress.beat(), 0u);
+  progress.polls(1)->fetch_add(5);  // a lane solves index 1 ahead
+  progress.polls(2)->fetch_add(4);
+  EXPECT_EQ(progress.beat(), 0u);
+  progress.polls(0)->fetch_add(2);  // the head polls
+  EXPECT_EQ(progress.beat(), 2u);
+  progress.emitted();  // row 0 leaves; index 1, already solved, is the head
+  EXPECT_EQ(progress.completed(), 1);
+  EXPECT_EQ(progress.beat(), 1u + 2u + 5u);
+  progress.emitted();
+  progress.emitted();
+  EXPECT_EQ(progress.beat(), 3u + 2u + 5u + 4u);
+}
+
+TEST(Executor, CancelStopsAtTheNextIndexBoundary) {
+  // With several lanes, later indices may be solved or parked when the
+  // token fires; none of them may be emitted.
+  for (const std::size_t lanes : {1, 4}) {
+    auto cancel = support::CancelToken::make();
+    int rows_seen = 0;
+    const ShardExecution partial = execute_shard(
+        executor_request(), cancel, nullptr,
+        [&](const exp::InstanceRecord&) {
+          if (++rows_seen == 3) cancel.cancel();
+        },
+        lanes);
+    EXPECT_EQ(partial.row_count, 3u) << lanes;  // stopped well short of 10
+    EXPECT_EQ(rows_seen, 3) << lanes;
+    EXPECT_TRUE(partial.rows.empty()) << lanes;  // the sink took them
+  }
+}
+
+TEST(Executor, LanesEmitTheSerialRowsInRequestOrder) {
+  // Index 10 comes first and runs longest: its csp2-dmc search goes to the
+  // node budget, so on four lanes every later index finishes and parks
+  // before it.  Every csp1 model overruns the variable cap at once, with
+  // its size in the error text, so the health's first error names index 10
+  // only when the health merges in request order (index 9 fails first).
+  serve::ShardRequest request = executor_request();
+  request.specs = {"csp1", "csp2-dmc"};
+  request.max_nodes = 1'000'000;
+  request.max_variables = 300;
+  request.indices = {10, 9, 8, 15, 26, 13, 29, 7};
+
+  // One BatchResult per lane count: the rows as the sink saw them, and the
+  // shard's health.
+  std::vector<exp::BatchResult> runs;
+  for (const std::size_t lanes : {1, 4}) {
+    exp::BatchResult run;
+    run.labels = request.specs;
+    ShardProgress progress(request.indices.size());
+    const ShardExecution execution = execute_shard(
+        request, support::CancelToken(), &progress,
+        [&](const exp::InstanceRecord& row) { run.instances.push_back(row); },
+        lanes);
+    EXPECT_EQ(execution.row_count, request.indices.size()) << lanes;
+    EXPECT_EQ(progress.completed(),
+              static_cast<std::int64_t>(request.indices.size()))
+        << lanes;
+    std::vector<std::uint64_t> order;
+    for (const exp::InstanceRecord& row : run.instances) {
+      order.push_back(row.index);
+    }
+    EXPECT_EQ(order, request.indices) << lanes;
+    run.health = execution.health;
+    runs.push_back(std::move(run));
+  }
+
+  const exp::BatchResult& serial = runs[0];
+  const exp::BatchResult& laned = runs[1];
+  expect_batches_equal(laned, serial, "4 lanes");
+  EXPECT_EQ(serial.instances.front().runs[1].verdict,
+            core::Verdict::kNodeLimit);
+  EXPECT_EQ(laned.health.failures, serial.health.failures);
+  EXPECT_EQ(laned.health.retries, serial.health.retries);
+  EXPECT_EQ(laned.health.recovered, serial.health.recovered);
+  EXPECT_EQ(laned.health.quarantined, serial.health.quarantined);
+  EXPECT_EQ(serial.health.quarantined,
+            static_cast<std::int64_t>(request.indices.size()));
+  EXPECT_EQ(laned.health.first_error, serial.health.first_error);
+  EXPECT_NE(serial.health.first_error.find("1920 variables"),
+            std::string::npos)
+      << serial.health.first_error;
+}
+
+TEST(Executor, ASinkThatThrowsStopsEveryLane) {
+  // Index 23 takes ~0.4 million nodes and 16 a few thousand, while 10, 22
+  // and 25 search to the node budget: about twice as long as index 23.  So
+  // three lanes are still solving when the sink throws on row 2; they
+  // finish and park, and none of their rows may be emitted.
+  serve::ShardRequest request = executor_request();
+  request.max_nodes = 1'000'000;
+  request.indices = {23, 16, 10, 22, 25, 26};
+  int calls = 0;
+  EXPECT_THROW(
+      (void)execute_shard(
+          request, support::CancelToken(), nullptr,
+          [&](const exp::InstanceRecord&) {
+            if (++calls == 2) throw support::SocketError("reader gone");
+          },
+          4),
+      support::SocketError);
+  // execute_shard returns only after every lane finished its index.
+  EXPECT_EQ(calls, 2);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 // The one main of the resident daemons, mgrts_serverd and mgrts_workerd
 // (DESIGN.md §13 and §16): a serve::Server whose Service answers
 // solve/ping/health/shutdown, with the fleet's "shard" route registered on
-// it.  The two binaries differ only in their name, default socket and
-// default handler count, so either can serve solves and shards.
+// it.  The two binaries differ in their name, default socket and default
+// handler count, so either can serve solves and shards, and in one setting
+// outside this main: mgrts_workerd caps glibc at one malloc arena, so a
+// shard's lanes share freed memory (DESIGN.md §16 gives the numbers),
+// while mgrts_serverd's request handlers keep glibc's default arenas.
+// --workers also sets a shard's lanes, max(1, hardware threads / N)
+// (dist/worker.hpp): a worker alone on its host runs with --workers 1.
 //
 // The --fault-* flags arm the deterministic process-wide FaultInjector
 // before serving starts, which is how the CI smokes prove containment end
@@ -42,7 +47,9 @@ inline int daemon_main(int argc, char** argv, const char* program,
         "usage: %s [options]\n"
         "\n"
         "  --socket PATH            AF_UNIX socket path (default %s)\n"
-        "  --workers N              connection-handler threads (default %zu)\n"
+        "  --workers N              connection-handler threads (default %zu);\n"
+        "                           a shard runs on max(1, hardware threads\n"
+        "                           / N) lanes\n"
         "  --default-timeout-ms MS  budget for requests without timeout-ms\n"
         "  --max-timeout-ms MS      hard ceiling on any request budget\n"
         "  --cache-capacity N       verdict-cache entries; 0 disables\n"
