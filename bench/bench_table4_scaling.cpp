@@ -65,7 +65,7 @@ int main() {
     // This repo's pruning extensions (slack + tight-demand), shown next to
     // the paper-faithful configuration: they recover part of the paper's
     // "no overrun" observation by converting timeouts into fast
-    // infeasibility proofs (see EXPERIMENTS.md for the discussion).
+    // infeasibility proofs (bench_ablation_csp2_rules measures them).
     exp::SolverSpec pruned = exp::csp2_spec(csp2::ValueOrder::kDMinusC,
                                             env.time_limit_ms,
                                             /*paper_faithful=*/false);

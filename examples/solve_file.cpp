@@ -1,9 +1,9 @@
 // Command-line solver: read an instance file, run the decision pipeline a
-// practitioner would use — analytical quick tests first, then the cheap
-// incomplete baselines, then the exact CSP solver — and print the outcome.
+// practitioner would use — analytical quick tests first, then the exact
+// solve (presolve stages, then CSP2) — and print the outcome.
 //
 //   ./solve_file path/to/instance.txt
-//   ./solve_file --demo                    # writes and solves a sample file
+//   ./solve_file --demo                    # prints and solves Example 1
 //   ./solve_file instance.txt --timeout-ms 5000 --retries 2 --json
 //
 // --timeout-ms MS   wall budget for the exact solve (default 30000)
@@ -28,7 +28,6 @@
 #include "analysis/tests.hpp"
 #include "core/instance_io.hpp"
 #include "core/solve.hpp"
-#include "partition/partition.hpp"
 #include "rt/gantt.hpp"
 
 namespace {
@@ -169,7 +168,7 @@ int main(int argc, char** argv) {
                 constrained.utilization().to_double());
   }
 
-  // Stage 1 + 2 narration only in human mode; the JSON path reports the
+  // Analysis narration only in human mode; the JSON path reports the
   // pipeline's own provenance (decided_by) instead.
   if (!json && file.platform.is_identical()) {
     const auto quick =
@@ -180,16 +179,6 @@ int main(int argc, char** argv) {
       std::printf("decided without search: %s\n", quick.detail.c_str());
       return quick.verdict == analysis::TestVerdict::kFeasible ? 0 : 1;
     }
-
-    const auto packed = partition::partition_tasks(
-        constrained, file.platform.processors());
-    if (packed.found) {
-      std::printf(
-          "partitioned first-fit suffices (no migration needed):\n%s",
-          rt::render_schedule(constrained, *packed.schedule).c_str());
-      return 0;
-    }
-    std::printf("partitioning failed; falling back to global CSP search\n");
   }
 
   // The exact solve, as one batch job so --retries rides the containment

@@ -19,18 +19,14 @@ namespace {
 // Exact one-sided analytical tests.  Decides without producing a witness:
 // the density test's fluid argument proves existence (via flow
 // integrality), it does not construct the schedule.  When the flow oracle
-// runs next anyway (`necessary_only`), feasible answers are deferred to it
-// so every feasible short-circuit still carries a validated schedule.
-SolveReport analysis_stage(const rt::TaskSet& ts, const rt::Platform& platform,
-                           bool necessary_only) {
+// runs next anyway, run_stages defers feasible answers to it so every
+// feasible short-circuit still carries a validated schedule.
+SolveReport analysis_stage(const rt::TaskSet& ts,
+                           const rt::Platform& platform) {
   const analysis::TestResult result =
       analysis::quick_decide(ts, platform.processors());
   SolveReport out;
   out.verdict = canonical_verdict(result.verdict);
-  if (out.verdict == Verdict::kFeasible && necessary_only) {
-    out.verdict = Verdict::kUnknown;
-    return out;
-  }
   if (decisive(out.verdict, out.complete)) {
     out.decided_by = std::string("analysis:") + result.test;
   }
@@ -132,9 +128,21 @@ bool run_stages(const rt::TaskSet& ts, const rt::Platform& platform,
   MGRTS_EXPECTS(ts.is_constrained());
   // The stage funnel (DESIGN.md §12): a throwing stage answers kUnknown —
   // a presolve stage must never be the reason a solve dies — and a stage
-  // that does not decide leaves nothing behind but its timing.
+  // that does not decide leaves nothing behind but its timing.  A feasible
+  // analysis answer is owed to the flow stage, which adds the witness; if
+  // the deadline skips that stage, the proof stands on its own (a cancel
+  // asks for no answer).
+  std::optional<SolveReport> deferred;
   const auto run = [&](const char* name, const auto& stage) {
-    if (deadline.expired()) return false;
+    std::optional<SolveReport> owed = std::exchange(deferred, std::nullopt);
+    if (deadline.expired()) {
+      if (!owed || deadline.cancel_requested()) return false;
+      owed->detail = "flow oracle skipped at its deadline; density proof "
+                     "stands";
+      owed->stage_times = std::move(report.stage_times);
+      report = std::move(*owed);
+      return true;
+    }
     support::Stopwatch watch;
     SolveReport result;
     try {
@@ -153,7 +161,12 @@ bool run_stages(const rt::TaskSet& ts, const rt::Platform& platform,
   // The analysis and flow-oracle stages are identical-platform arguments.
   const bool identical = platform.is_identical();
   return (options.analysis && identical && run("analysis", [&] {
-            return analysis_stage(ts, platform, options.flow_oracle);
+            SolveReport proof = analysis_stage(ts, platform);
+            if (proof.verdict != Verdict::kFeasible || !options.flow_oracle) {
+              return proof;
+            }
+            deferred = std::move(proof);
+            return SolveReport{};
           })) ||
          (options.flow_oracle && identical && run("flow-oracle", [&] {
             return flow_oracle_stage(ts, platform, deadline);

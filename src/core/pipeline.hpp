@@ -188,7 +188,11 @@ struct SolveReport {
 /// stage counts as kUnknown and the next one runs.  Every stage that ran
 /// appends its timing to `report.stage_times`; the first decisive one ends
 /// the chain, its answer becomes `report`, and the call returns true.  An
-/// expired deadline skips the remaining stages.
+/// expired deadline skips the remaining stages.  The analysis stage defers
+/// a density proof to the flow stage, so that the answer carries a
+/// witness; when the deadline skips the flow stage, the proof answers on
+/// its own (kFeasible by "analysis:density", no schedule).  A cancel
+/// answers nothing.
 [[nodiscard]] bool run_stages(const rt::TaskSet& ts,
                               const rt::Platform& platform,
                               const PipelineOptions& options,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -186,9 +187,7 @@ SolveReport dispatch(const rt::TaskSet& ts, const rt::Platform& platform,
       break;
     }
     case Method::kEdfSimulation: {
-      sim::SimOptions options;
-      options.policy = sim::Policy::kEdf;
-      sim::SimResult result = sim::simulate(ts, platform, options);
+      sim::SimResult result = sim::simulate(ts, platform);
       out.complete = false;  // EDF is not an optimal global policy
       if (result.status == sim::SimStatus::kSchedulable) {
         out.verdict = Verdict::kFeasible;
@@ -248,6 +247,14 @@ void run_backend(const rt::TaskSet& ts, const rt::Platform& platform,
   report.stage_times.push_back(StageTiming{name, out.verdict, watch.seconds()});
   out.stage_times = std::move(report.stage_times);
   report = std::move(out);
+}
+
+/// A retry's budget: a positive one doubled, saturating at the int64
+/// range; zero and the negative "unlimited" stay as they are.
+std::int64_t doubled(std::int64_t budget) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (budget <= 0) return budget;
+  return budget > kMax / 2 ? kMax : 2 * budget;
 }
 
 support::Deadline deadline_for(const SolveConfig& config) {
@@ -584,8 +591,8 @@ std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
         std::lock_guard lock(health_mutex);
         ++local.retries;
       }
-      if (config.time_limit_ms > 0) config.time_limit_ms *= 2;
-      if (config.max_nodes > 0) config.max_nodes *= 2;
+      config.time_limit_ms = doubled(config.time_limit_ms);
+      config.max_nodes = doubled(config.max_nodes);
       const auto salt =
           0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt);
       config.generic.seed ^= salt;

@@ -194,6 +194,11 @@ exp::BatchResult run_fleet(const exp::BatchOptions& batch,
   // unknown name fails here — before any dispatch — with the same
   // ValidationError the executor would throw.
   if (spec_names.empty()) throw ValidationError("no specs named");
+  // Workers refuse a shard whose max-attempts lies outside this range.
+  if (fleet.max_attempts < 1 || fleet.max_attempts > serve::kMaxAttempts) {
+    throw ValidationError("max_attempts must lie in 1.." +
+                          std::to_string(serve::kMaxAttempts));
+  }
   exp::BatchResult result;
   for (const std::string& name : spec_names) {
     const auto spec = exp::spec_from_name(name, time_limit_ms, batch.seed);

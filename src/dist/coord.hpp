@@ -51,7 +51,8 @@ struct FleetOptions {
   /// Run undeliverable shards in-process instead of failing the batch.
   /// Off, an exhausted shard throws — only for tests that pin the policy.
   bool local_fallback = true;
-  /// Worker-side core::BatchPolicy::max_attempts (retry/quarantine).
+  /// Worker-side core::BatchPolicy::max_attempts (retry/quarantine),
+  /// 1..serve::kMaxAttempts.
   std::int32_t max_attempts = 1;
   /// Per-run node-budget override; -1 = keep each spec's default.
   std::int64_t max_nodes = -1;
@@ -81,7 +82,8 @@ struct FleetStats {
 /// Runs the batch across the fleet and merges the rows.  The result's
 /// instances follow the batch's index order (0..instances-1, or
 /// BatchOptions::indices verbatim).  Throws ValidationError for unknown
-/// spec names or duplicate indices (merge is keyed by index), and
+/// spec names, duplicate indices (merge is keyed by index) or a
+/// max_attempts outside 1..serve::kMaxAttempts, and
 /// support-layer errors only when every recovery avenue (re-dispatch,
 /// local fallback) is exhausted or disabled.
 [[nodiscard]] exp::BatchResult run_fleet(

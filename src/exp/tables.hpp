@@ -1,6 +1,6 @@
 // Aggregations that print the paper's result tables from a BatchResult.
 // Layouts mirror Tables I-IV of §VII so that paper-vs-measured comparison
-// (EXPERIMENTS.md) is line-by-line.
+// (each bench_table*_ header quotes the paper's table) is line-by-line.
 #pragma once
 
 #include <cstdint>

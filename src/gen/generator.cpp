@@ -1,7 +1,6 @@
 #include "gen/generator.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "support/assert.hpp"
 #include "support/error.hpp"
@@ -71,73 +70,6 @@ Instance generate(const GeneratorOptions& options, support::Rng& rng) {
       break;
   }
   return instance;
-}
-
-Instance generate_controlled(const ControlledOptions& options,
-                             support::Rng& rng) {
-  if (options.tasks < 1) {
-    throw ValidationError("controlled generator needs at least one task");
-  }
-  if (options.processors < 1) {
-    throw ValidationError("controlled generator needs m >= 1");
-  }
-  if (options.t_max < 2) {
-    throw ValidationError("controlled generator requires Tmax > 1");
-  }
-  if (!(options.target_ratio > 0.0) || options.target_ratio > 1.0) {
-    throw ValidationError("target_ratio must lie in (0, 1]");
-  }
-  const double total =
-      options.target_ratio * static_cast<double>(options.processors);
-  const auto n = static_cast<std::size_t>(options.tasks);
-  if (total > static_cast<double>(options.tasks)) {
-    throw ValidationError(
-        "target utilization exceeds n (every task would need u > 1)");
-  }
-
-  // UUniFast-discard: uniform over the u-simplex, rejecting u_i > 1.
-  std::vector<double> u(n);
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 10'000) {
-      throw ValidationError(
-          "UUniFast-discard failed to draw; target_ratio too extreme for n");
-    }
-    double sum = total;
-    bool ok = true;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double next =
-          sum * std::pow(rng.uniform01(),
-                         1.0 / static_cast<double>(n - 1 - i));
-      u[i] = sum - next;
-      sum = next;
-      if (u[i] > 1.0) {
-        ok = false;
-        break;
-      }
-    }
-    u[n - 1] = sum;
-    if (ok && u[n - 1] <= 1.0) break;
-  }
-
-  std::vector<TaskParams> params;
-  params.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    TaskParams p;
-    // Light tasks need long periods, otherwise C >= 1 inflates their
-    // utilization (a u = 0.02 task on T = 5 realizes 0.2): restrict the
-    // period range so that u * T >= 1 whenever Tmax allows it.
-    const Time lo = std::clamp<Time>(
-        static_cast<Time>(std::ceil(1.0 / std::max(u[i], 1e-9))), 1,
-        options.t_max);
-    p.period = rng.uniform(lo, options.t_max);
-    const double ideal = u[i] * static_cast<double>(p.period);
-    p.wcet = std::clamp<Time>(static_cast<Time>(ideal + 0.5), 1, p.period);
-    p.deadline =
-        options.implicit_deadlines ? p.period : rng.uniform(p.wcet, p.period);
-    p.offset = options.with_offsets ? rng.uniform(0, p.period - 1) : 0;
-    params.push_back(p);
-  }
-  return Instance{rt::TaskSet::from_params(params), options.processors};
 }
 
 Instance generate_indexed(const GeneratorOptions& options, std::uint64_t seed,

@@ -68,35 +68,4 @@ struct Instance {
                                         std::uint64_t seed,
                                         std::uint64_t index);
 
-// ---------------------------------------------------------------------
-// Utilization-controlled generation (beyond the paper).
-//
-// The §VII-A scheme gives no direct control over the utilization ratio —
-// Table III shows the induced distribution instead.  For controlled-r
-// studies this generator adapts the classic UUniFast-discard procedure to
-// the integer model: task utilizations are drawn uniformly from the
-// simplex summing to target_ratio * m (rejecting draws with any u_i > 1),
-// periods uniformly from ceil(1/u_i)..Tmax (light tasks get long periods
-// so the integral C_i >= 1 does not inflate them), and
-// C_i = clamp(round(u_i * T_i), 1, T_i) — so the realized utilization
-// tracks the target up to integer rounding.
-// ---------------------------------------------------------------------
-
-struct ControlledOptions {
-  std::int32_t tasks = 10;
-  std::int32_t processors = 4;
-  rt::Time t_max = 20;
-  /// Target r = U / m in (0, 1]; realized r deviates by O(1/Tmax).
-  double target_ratio = 0.8;
-  /// Implicit deadlines (D = T) or constrained D ~ U(C..T).
-  bool implicit_deadlines = false;
-  bool with_offsets = false;
-};
-
-/// Draws one utilization-controlled instance.  Throws ValidationError for
-/// malformed options (tasks < 1, ratio outside (0, 1], ratio infeasible
-/// for the task count: target_ratio * m > tasks).
-[[nodiscard]] Instance generate_controlled(const ControlledOptions& options,
-                                           support::Rng& rng);
-
 }  // namespace mgrts::gen

@@ -10,12 +10,12 @@
 // `WindowIndex` answers membership queries in O(1) arithmetic without
 // materializing anything, so the CSP2 solver can handle hyperperiods in the
 // 10^5..10^6 range; the schedule validator uses it too.  `JobTable`
-// materializes explicit per-job slot lists for CSP1, local search and
-// `rt/stats` (small instances); it guards against accidental memory
-// blow-ups with an explicit budget.  The flow oracle and the generic CSP2
-// model walk the windows straight from the task parameters and use no
-// `JobTable`: the flow oracle shares the budget (flow/oracle.hpp), the
-// CSP2 model runs the table's own guard (`guard_window_slots`).
+// materializes explicit per-job slot lists for CSP1 and local search
+// (small instances); it guards against accidental memory blow-ups with an
+// explicit budget.  The flow oracle and the generic CSP2 model walk the
+// windows straight from the task parameters and use no `JobTable`: the
+// flow oracle shares the budget (flow/oracle.hpp), the CSP2 model runs the
+// table's own guard (`guard_window_slots`).
 #pragma once
 
 #include <cstdint>
@@ -63,9 +63,6 @@ class WindowIndex {
   [[nodiscard]] Time hyperperiod() const noexcept { return hyperperiod_; }
   [[nodiscard]] std::int32_t task_count() const noexcept {
     return static_cast<std::int32_t>(tasks_.size());
-  }
-  [[nodiscard]] Time jobs_of(TaskId i) const {
-    return hyperperiod_ / tasks_[static_cast<std::size_t>(i)].period;
   }
 
  private:

@@ -5,6 +5,7 @@
 
 #include "core/canonical.hpp"
 #include "core/instance_io.hpp"
+#include "serve/shard.hpp"
 #include "support/error.hpp"
 
 namespace mgrts::serve {
@@ -12,10 +13,8 @@ namespace mgrts::serve {
 namespace {
 
 /// Solve attempts when a request carries no `retries` header (one retry of
-/// crash-type failures, the resident-service default), and the ceiling on
-/// the `retries`-derived count.
+/// crash-type failures, the resident-service default).
 constexpr std::int64_t kDefaultAttempts = 2;
-constexpr std::int64_t kMaxAttempts = 4;
 
 std::int64_t clamp_int(std::int64_t value, std::int64_t lo, std::int64_t hi) {
   return std::max(lo, std::min(value, hi));
@@ -201,9 +200,10 @@ Message Service::handle_solve(const Message& request,
   core::BatchPolicy policy;
   policy.workers = 1;  // the server fans out across requests, not within one
   std::int64_t attempts = kDefaultAttempts;
-  if (const auto retries = request.get_int("retries")) attempts = *retries + 1;
-  policy.max_attempts =
-      static_cast<std::int32_t>(clamp_int(attempts, 1, kMaxAttempts));
+  if (const auto retries = request.get_int("retries")) {
+    attempts = clamp_int(*retries, 0, kMaxAttempts - 1) + 1;
+  }
+  policy.max_attempts = static_cast<std::int32_t>(attempts);
 
   core::BatchHealth health;
   const std::vector<core::SolveReport> reports = core::solve_batch(

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace mgrts::serve {
@@ -27,6 +28,16 @@ std::string require(const Message& message, const std::string& key) {
 std::int64_t require_int(const Message& message, const std::string& key) {
   require(message, key);          // presence, with the right error text
   return *message.get_int(key);   // format errors from get_int
+}
+
+std::int32_t require_i32(const Message& message, const std::string& key) {
+  const std::int64_t value = require_int(message, key);
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw ProtocolError("header '" + key + "' is out of int32 range: " +
+                        std::to_string(value));
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 std::uint64_t require_u64(const Message& message, const std::string& key) {
@@ -214,10 +225,10 @@ ShardRequest parse_shard_request(const Message& message) {
   request.time_limit_ms = require_int(message, "time-limit-ms");
   request.max_nodes = require_int(message, "max-nodes");
   request.max_variables = require_int(message, "max-variables");
-  request.max_attempts =
-      static_cast<std::int32_t>(require_int(message, "max-attempts"));
-  if (request.max_attempts < 1) {
-    throw ProtocolError("max-attempts must be >= 1");
+  request.max_attempts = require_i32(message, "max-attempts");
+  if (request.max_attempts < 1 || request.max_attempts > kMaxAttempts) {
+    throw ProtocolError("max-attempts must lie in 1.." +
+                        std::to_string(kMaxAttempts));
   }
   const std::string specs = require(message, "specs");
   std::size_t pos = 0;
@@ -233,10 +244,8 @@ ShardRequest parse_shard_request(const Message& message) {
   if (request.specs.empty()) {
     throw ProtocolError("shard request names no specs");
   }
-  request.generator.tasks =
-      static_cast<std::int32_t>(require_int(message, "gen-tasks"));
-  request.generator.processors =
-      static_cast<std::int32_t>(require_int(message, "gen-processors"));
+  request.generator.tasks = require_i32(message, "gen-tasks");
+  request.generator.processors = require_i32(message, "gen-processors");
   request.generator.rule = rule_from(require(message, "gen-rule"));
   request.generator.t_max = require_int(message, "gen-tmax");
   request.generator.order = order_from(require(message, "gen-order"));
@@ -279,9 +288,8 @@ ShardRow parse_shard_row(const Message& message) {
   ShardRow row;
   row.shard_id = require(message, "shard-id");
   row.record.index = require_u64(message, "index");
-  row.record.tasks = static_cast<std::int32_t>(require_int(message, "tasks"));
-  row.record.processors =
-      static_cast<std::int32_t>(require_int(message, "processors"));
+  row.record.tasks = require_i32(message, "tasks");
+  row.record.processors = require_i32(message, "processors");
   row.record.hyperperiod = require_int(message, "hyperperiod");
   row.record.ratio = parse_double(require(message, "ratio"), "ratio");
   row.record.exceeds_capacity = require_bool(message, "exceeds-capacity");

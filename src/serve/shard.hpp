@@ -41,6 +41,11 @@
 
 namespace mgrts::serve {
 
+/// The most attempts one run gets over the wire: the solve route clamps a
+/// request's `retries` to it, the shard route refuses a larger
+/// `max-attempts`.
+inline constexpr std::int32_t kMaxAttempts = 4;
+
 /// One shard of a generator batch: a slice of the index space plus the
 /// full recipe for reproducing it.
 struct ShardRequest {
@@ -57,7 +62,8 @@ struct ShardRequest {
   std::int64_t max_nodes = -1;
   /// Variable-budget override (csp::SolverLimits); 0 = spec default.
   std::int64_t max_variables = 0;
-  /// Worker-side core::BatchPolicy::max_attempts (retry/quarantine).
+  /// Worker-side core::BatchPolicy::max_attempts (retry/quarantine),
+  /// 1..kMaxAttempts.
   std::int32_t max_attempts = 1;
   /// Generator-stream indices of this shard, in execution order.
   std::vector<std::uint64_t> indices;

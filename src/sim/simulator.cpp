@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "support/assert.hpp"
 #include "support/error.hpp"
@@ -36,8 +37,7 @@ struct Backlog {
 
 }  // namespace
 
-SimResult simulate(const rt::TaskSet& ts, const rt::Platform& platform,
-                   const SimOptions& options) {
+SimResult simulate(const rt::TaskSet& ts, const rt::Platform& platform) {
   if (!platform.is_identical()) {
     throw ValidationError("the simulator supports identical platforms only");
   }
@@ -48,22 +48,6 @@ SimResult simulate(const rt::TaskSet& ts, const rt::Platform& platform,
   const std::int32_t n = ts.size();
   const std::int32_t m = platform.processors();
   const Time T = ts.hyperperiod();
-
-  std::vector<std::int32_t> rank(static_cast<std::size_t>(n), 0);
-  if (options.policy == Policy::kFixedPriority) {
-    if (static_cast<std::int32_t>(options.priority.size()) != n) {
-      throw ValidationError("priority vector size must equal the task count");
-    }
-    std::vector<bool> seen(static_cast<std::size_t>(n), false);
-    for (std::size_t pos = 0; pos < options.priority.size(); ++pos) {
-      const TaskId i = options.priority[pos];
-      if (i < 0 || i >= n || seen[static_cast<std::size_t>(i)]) {
-        throw ValidationError("priority vector must be a permutation");
-      }
-      seen[static_cast<std::size_t>(i)] = true;
-      rank[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(pos);
-    }
-  }
 
   std::vector<Backlog> backlog(static_cast<std::size_t>(n));
   SimResult result;
@@ -118,7 +102,7 @@ SimResult simulate(const rt::TaskSet& ts, const rt::Platform& platform,
       }
     }
 
-    // Pick up to m active jobs by policy priority.
+    // Pick up to m active jobs by EDF priority.
     active.clear();
     for (TaskId i = 0; i < n; ++i) {
       if (backlog[static_cast<std::size_t>(i)].remaining > 0) {
@@ -126,14 +110,10 @@ SimResult simulate(const rt::TaskSet& ts, const rt::Platform& platform,
       }
     }
     const auto by_priority = [&](TaskId a, TaskId b) {
-      if (options.policy == Policy::kEdf) {
-        const Time da = backlog[static_cast<std::size_t>(a)].abs_deadline;
-        const Time db = backlog[static_cast<std::size_t>(b)].abs_deadline;
-        if (da != db) return da < db;
-        return a < b;
-      }
-      return rank[static_cast<std::size_t>(a)] <
-             rank[static_cast<std::size_t>(b)];
+      const Time da = backlog[static_cast<std::size_t>(a)].abs_deadline;
+      const Time db = backlog[static_cast<std::size_t>(b)].abs_deadline;
+      if (da != db) return da < db;
+      return a < b;
     };
     std::sort(active.begin(), active.end(), by_priority);
     const auto run_count =

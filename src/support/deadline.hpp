@@ -11,6 +11,7 @@
 // expiry — so no solver needs cancellation-specific control flow.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -72,16 +73,24 @@ class Deadline {
   /// A deadline that never expires.
   Deadline() = default;
 
-  /// A deadline `budget` from now; a non-positive budget expires immediately.
+  /// A deadline `budget` from now; a non-positive budget expires
+  /// immediately, and one past the clock's range saturates at its end.
   static Deadline after(std::chrono::nanoseconds budget) {
     Deadline d;
     d.unlimited_ = false;
-    d.end_ = Clock::now() + budget;
+    const Clock::time_point now = Clock::now();
+    d.end_ = budget < Clock::time_point::max() - now
+                 ? now + std::max(budget, std::chrono::nanoseconds(0))
+                 : Clock::time_point::max();
     return d;
   }
 
+  /// As after(), for a budget in milliseconds (any int64, saturating).
   static Deadline after_ms(std::int64_t ms) {
-    return after(std::chrono::milliseconds(ms));
+    constexpr std::int64_t kMaxMs =
+        std::chrono::nanoseconds::max().count() / 1'000'000;
+    return after(std::chrono::milliseconds(std::clamp<std::int64_t>(
+        ms, 0, kMaxMs)));
   }
 
   /// Attaches a cooperative cancel flag; expired() then also reports true

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/instance_io.hpp"
-#include "core/min_processors.hpp"
 #include "rt/validate.hpp"
 #include "support/error.hpp"
 #include "testing.hpp"
@@ -137,48 +136,6 @@ TEST(SolveInstance, NodeLimitRespected) {
                                             Platform::identical(2), config);
   EXPECT_TRUE(report.verdict == Verdict::kNodeLimit ||
               report.verdict == Verdict::kFeasible);
-}
-
-// ------------------------------------------------------------ min processors
-
-TEST(MinProcessors, Example1NeedsExactlyTwo) {
-  const MinProcessorsResult result = min_processors(example1());
-  ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.lower_bound, 2);
-  EXPECT_EQ(result.processors, 2);
-  EXPECT_TRUE(result.report.witness_valid);
-  EXPECT_EQ(result.trail.size(), 1u);  // feasible at the first try
-}
-
-TEST(MinProcessors, TightWindowsNeedMoreThanCeilU) {
-  // Two D=1 tasks wanting the same slot: ceil(U) = 1 but m = 2 required.
-  const TaskSet ts = TaskSet::from_params({{0, 1, 1, 2}, {0, 1, 1, 2}});
-  const MinProcessorsResult result = min_processors(ts);
-  ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.lower_bound, 1);
-  EXPECT_EQ(result.processors, 2);
-  EXPECT_EQ(result.trail.size(), 2u);
-  EXPECT_EQ(result.trail[0], Verdict::kInfeasible);
-  EXPECT_EQ(result.trail[1], Verdict::kFeasible);
-}
-
-TEST(MinProcessors, ArbitraryDeadlineInputAccepted) {
-  const TaskSet ts = TaskSet::from_params({{0, 3, 4, 2}},
-                                          rt::DeadlineModel::kArbitrary);
-  const MinProcessorsResult result = min_processors(ts);
-  ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.processors, 2);  // two clones must overlap
-}
-
-TEST(MinProcessors, UndecidedRunStopsSearch) {
-  SolveConfig config;
-  config.method = Method::kCsp2Dedicated;
-  config.pipeline = PipelineOptions::none();  // presolve would decide m=2
-  config.max_nodes = 0;  // every run exhausts instantly
-  const MinProcessorsResult result = min_processors(example1(), config);
-  EXPECT_FALSE(result.found);
-  EXPECT_EQ(result.trail.size(), 1u);
-  EXPECT_EQ(result.trail[0], Verdict::kNodeLimit);
 }
 
 // -------------------------------------------------------------- instance IO

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -261,6 +262,40 @@ TEST(ShardCodec, MalformedFramesRefuseExactly) {
   EXPECT_THROW((void)serve::parse_shard_row(row), serve::ProtocolError);
 }
 
+TEST(ShardCodec, IntegersOutsideTheirFieldsRefuse) {
+  // A peer refuses what it cannot parse exactly: 4294967299 must not
+  // narrow to 3, and a max-attempts above the solve route's ceiling is as
+  // foreign as one below 1.
+  const auto with = [](serve::Message msg, const std::string& key,
+                       const std::string& value) {
+    for (auto& kv : msg.headers) {
+      if (kv.first == key) kv.second = value;
+    }
+    return msg;
+  };
+  const serve::Message request = serve::encode_shard_request(sample_request());
+  for (const char* key : {"gen-tasks", "gen-processors", "max-attempts"}) {
+    for (const char* value : {"4294967299", "-4294967295"}) {
+      EXPECT_THROW((void)serve::parse_shard_request(with(request, key, value)),
+                   serve::ProtocolError)
+          << key << " " << value;
+    }
+  }
+  EXPECT_THROW(
+      (void)serve::parse_shard_request(with(request, "max-attempts", "5")),
+      serve::ProtocolError);
+  EXPECT_EQ(serve::parse_shard_request(with(request, "max-attempts", "4"))
+                .max_attempts,
+            4);
+
+  const serve::Message row = serve::encode_shard_row(serve::ShardRow{});
+  for (const char* key : {"tasks", "processors"}) {
+    EXPECT_THROW((void)serve::parse_shard_row(with(row, key, "4294967299")),
+                 serve::ProtocolError)
+        << key;
+  }
+}
+
 // ----------------------------------------------------------- spec registry
 
 TEST(SpecRegistry, EveryKnownNameResolvesAndUnknownRefuses) {
@@ -424,6 +459,18 @@ TEST(MergeDeterminism, UnknownSpecNameRefuses) {
                ValidationError);
 }
 
+TEST(MergeDeterminism, MaxAttemptsOutsideTheWireRangeRefuses) {
+  // Workers refuse such a shard, so the coordinator must not send it.
+  for (const std::int32_t attempts : {0, serve::kMaxAttempts + 1}) {
+    FleetOptions fleet;
+    fleet.max_attempts = attempts;
+    EXPECT_THROW((void)exp::run_batch_sharded(small_batch(), kLineup,
+                                              kTimeLimitMs, fleet, nullptr),
+                 ValidationError)
+        << attempts;
+  }
+}
+
 class WorkerFleet {
  public:
   /// `handlers` per server sets its shards' lanes: hardware threads /
@@ -575,6 +622,39 @@ TEST(ShardProgress, TheBeatFollowsTheHeadOfLine) {
   progress.emitted();
   progress.emitted();
   EXPECT_EQ(progress.beat(), 3u + 2u + 5u + 4u);
+}
+
+// A shard's budgets reach core::SolveConfig as sent.  Every csp1 run of
+// this shard blows its 8-variable budget and is retried once, so both the
+// deadline and the retry's doubling see the budgets; they must saturate,
+// not overflow.
+void expect_pinched_shard_quarantines(std::int64_t time_limit_ms,
+                                      std::int64_t max_nodes) {
+  serve::ShardRequest request = executor_request();
+  request.specs = {"csp1"};
+  request.indices = {0, 1};
+  request.time_limit_ms = time_limit_ms;
+  request.max_nodes = max_nodes;
+  request.max_variables = 8;
+  request.max_attempts = 2;
+  const ShardExecution run =
+      execute_shard(request, support::CancelToken::make());
+  ASSERT_EQ(run.rows.size(), 2u);
+  for (const exp::InstanceRecord& row : run.rows) {
+    EXPECT_EQ(row.runs[0].failure_cause, core::FailureCause::kMemory);
+  }
+  EXPECT_EQ(run.health.retries, 2);
+  EXPECT_EQ(run.health.quarantined, 2);
+}
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+TEST(Executor, AWallBudgetAtTheInt64CeilingSaturates) {
+  expect_pinched_shard_quarantines(kInt64Max, -1);
+}
+
+TEST(Executor, ANodeBudgetAtTheInt64CeilingSaturatesOnRetry) {
+  expect_pinched_shard_quarantines(kTimeLimitMs, kInt64Max);
 }
 
 TEST(Executor, CancelStopsAtTheNextIndexBoundary) {

@@ -172,83 +172,6 @@ TEST(Generator, ValidatesOptions) {
   EXPECT_THROW(static_cast<void>(generate(options, rng)), ValidationError);
 }
 
-TEST(ControlledGenerator, HitsTargetUtilization) {
-  support::Rng rng(31);
-  ControlledOptions options;
-  options.tasks = 12;
-  options.processors = 4;
-  options.t_max = 50;  // fine-grained periods keep rounding error small
-  options.target_ratio = 0.75;
-  double total_ratio = 0;
-  const int draws = 60;
-  for (int k = 0; k < draws; ++k) {
-    const Instance inst = generate_controlled(options, rng);
-    total_ratio += inst.tasks.utilization_ratio(inst.processors);
-    for (rt::TaskId i = 0; i < inst.tasks.size(); ++i) {
-      const auto& p = inst.tasks[i].params;
-      ASSERT_GE(p.wcet, 1);
-      ASSERT_LE(p.wcet, p.deadline);
-      ASSERT_LE(p.deadline, p.period);
-      ASSERT_LE(p.period, options.t_max);
-    }
-  }
-  EXPECT_NEAR(total_ratio / draws, 0.75, 0.08);
-}
-
-TEST(ControlledGenerator, ImplicitDeadlines) {
-  support::Rng rng(32);
-  ControlledOptions options;
-  options.tasks = 6;
-  options.implicit_deadlines = true;
-  const Instance inst = generate_controlled(options, rng);
-  for (rt::TaskId i = 0; i < inst.tasks.size(); ++i) {
-    EXPECT_EQ(inst.tasks[i].deadline(), inst.tasks[i].period());
-  }
-}
-
-TEST(ControlledGenerator, OffsetsSampled) {
-  support::Rng rng(33);
-  ControlledOptions options;
-  options.tasks = 8;
-  options.t_max = 30;
-  options.with_offsets = true;
-  bool nonzero = false;
-  for (int k = 0; k < 20; ++k) {
-    const Instance inst = generate_controlled(options, rng);
-    for (rt::TaskId i = 0; i < inst.tasks.size(); ++i) {
-      ASSERT_LT(inst.tasks[i].offset(), inst.tasks[i].period());
-      nonzero = nonzero || inst.tasks[i].offset() > 0;
-    }
-  }
-  EXPECT_TRUE(nonzero);
-}
-
-TEST(ControlledGenerator, ValidatesOptions) {
-  support::Rng rng(34);
-  ControlledOptions options;
-  options.target_ratio = 0.0;
-  EXPECT_THROW(static_cast<void>(generate_controlled(options, rng)),
-               ValidationError);
-  options.target_ratio = 1.5;
-  EXPECT_THROW(static_cast<void>(generate_controlled(options, rng)),
-               ValidationError);
-  options.target_ratio = 1.0;
-  options.tasks = 2;
-  options.processors = 4;  // needs u_i > 1 on average
-  EXPECT_THROW(static_cast<void>(generate_controlled(options, rng)),
-               ValidationError);
-}
-
-TEST(ControlledGenerator, SingleTaskDegenerate) {
-  support::Rng rng(35);
-  ControlledOptions options;
-  options.tasks = 1;
-  options.processors = 1;
-  options.target_ratio = 0.5;
-  const Instance inst = generate_controlled(options, rng);
-  EXPECT_EQ(inst.tasks.size(), 1);
-}
-
 TEST(Generator, ToStringNames) {
   EXPECT_STREQ(to_string(ParamOrder::kDFirst), "D-first");
   EXPECT_STREQ(to_string(ParamOrder::kCdt), "C->D->T");

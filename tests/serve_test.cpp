@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -682,6 +683,37 @@ TEST(Service, StarvedDeadlineDegradesNotErrors) {
   EXPECT_EQ(response.kind, "ok");
   EXPECT_EQ(response.get("verdict"), "timeout");
   EXPECT_EQ(response.get("cause"), "deadline");
+}
+
+TEST(Service, RetriesAtTheInt64ExtremesClampBeforeCounting) {
+  // `retries` is a client's int64: adding the first attempt before the
+  // clamp would overflow.
+  Service service;
+  for (const std::int64_t retries : {std::numeric_limits<std::int64_t>::max(),
+                                     std::numeric_limits<std::int64_t>::min()}) {
+    Message request = solve_request(core::write_instance_string(
+        testing::example1(), testing::example1_platform()));
+    request.set("no-cache", "1");
+    request.set("retries", retries);
+    const Message response = service.handle_message(request);
+    EXPECT_EQ(response.kind, "ok") << retries;
+    EXPECT_EQ(response.get("verdict"), "feasible") << retries;
+  }
+}
+
+TEST(Service, ATimeoutAtTheInt64CeilingSaturates) {
+  // A service may lift its timeout ceiling all the way; the deadline then
+  // saturates at the clock's end instead of overflowing.
+  ServiceOptions options;
+  options.max_timeout_ms = std::numeric_limits<std::int64_t>::max();
+  Service service(options);
+  Message request = solve_request(core::write_instance_string(
+      testing::example1(), testing::example1_platform()));
+  request.set("timeout-ms", options.max_timeout_ms);
+  const Message response = service.handle_message(request);
+  EXPECT_EQ(response.kind, "ok");
+  EXPECT_EQ(response.get("verdict"), "feasible");
+  EXPECT_EQ(response.get("decided-by"), "flow-oracle");
 }
 
 TEST(Service, CancelledContextReportsCancelled) {

@@ -42,29 +42,6 @@ TEST(Simulator, DhallInstanceFeasibleForCsp2) {
   EXPECT_EQ(result.status, csp2::Status::kFeasible);
 }
 
-TEST(Simulator, FixedPriorityRespectsOrder) {
-  // tau3 (the heavy task) at top priority fixes the Dhall instance.
-  SimOptions options;
-  options.policy = Policy::kFixedPriority;
-  options.priority = {2, 0, 1};
-  const TaskSet ts = dhall2();
-  const Platform p = Platform::identical(2);
-  const SimResult result = simulate(ts, p, options);
-  ASSERT_EQ(result.status, SimStatus::kSchedulable);
-  ASSERT_TRUE(result.schedule.has_value());
-  EXPECT_TRUE(rt::is_valid_schedule(ts, p, *result.schedule));
-  // Highest priority task runs at slot 0.
-  EXPECT_EQ(result.schedule->at(0, 0), 2);
-}
-
-TEST(Simulator, FixedPriorityBadOrderMisses) {
-  SimOptions options;
-  options.policy = Policy::kFixedPriority;
-  options.priority = {0, 1, 2};  // heavy task last: same miss as EDF
-  const SimResult result = simulate(dhall2(), Platform::identical(2), options);
-  EXPECT_EQ(result.status, SimStatus::kDeadlineMiss);
-}
-
 TEST(Simulator, OffsetTasksConverge) {
   const TaskSet ts = example1();
   const SimResult result = simulate(ts, Platform::identical(3));
@@ -96,19 +73,6 @@ TEST(Simulator, RejectsHeterogeneousPlatform) {
   EXPECT_THROW(
       static_cast<void>(simulate(example1(),
                                  Platform::heterogeneous({{1}, {1}, {1}}))),
-      ValidationError);
-}
-
-TEST(Simulator, RejectsMalformedPriorityVector) {
-  SimOptions options;
-  options.policy = Policy::kFixedPriority;
-  options.priority = {0, 0, 1};  // duplicate
-  EXPECT_THROW(
-      static_cast<void>(simulate(example1(), Platform::identical(2), options)),
-      ValidationError);
-  options.priority = {0, 1};  // wrong arity
-  EXPECT_THROW(
-      static_cast<void>(simulate(example1(), Platform::identical(2), options)),
       ValidationError);
 }
 
