@@ -109,9 +109,9 @@ SolveReport flow_oracle_stage(const rt::TaskSet& ts,
     out.detail = "max-flow " + std::to_string(oracle->flow) + " of demand " +
                  std::to_string(oracle->demand);
   } catch (const ResourceError& e) {
-    // The oracle's size guard refused the network before allocating it
-    // (more than 50M forward arcs), or an injected fault shadowed that
-    // guard.
+    // The oracle's size guard refused the instance before allocating it
+    // (more than 50M jobs, window slots and slots, or more than 50M witness
+    // cells), or an injected fault shadowed that guard.
     if (!density_stands(std::string("skipped (") + e.what() + ")")) {
       const bool injected = dynamic_cast<const FaultInjectedError*>(&e);
       out.cause =

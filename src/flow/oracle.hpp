@@ -10,39 +10,56 @@
 //   * slot->sink capacity m encodes C2 (at most m busy processors);
 //   * saturation of the source edges encodes C1 + C4.
 //
-// Network.  One flat residual network in compressed sparse row form, built
-// straight from the task parameters (no job table, no per-job slot lists):
-//   * nodes: 0 is the source, then the jobs grouped by task with k
-//     ascending, then the T slots, then the sink;
-//   * job k of task i is released at r = O_i + k*T_i and its slots are
-//     (r + d) mod T for d < D_i;
-//   * a job's arcs are the back arc to the source, then its D_i slot arcs
-//     in window order; a slot's arcs are the back arcs of its jobs in
-//     ascending job order, then its arc to the sink, last.
+// The flow as slot occupancy.  No network is built: a job's arcs follow
+// from window arithmetic, and the flow on them is which jobs sit in which
+// slot.  Jobs are grouped by task with k ascending; job k of task i is
+// released at r = O_i + k*T_i and its window slots are (r + d) mod T for
+// d < D_i.  The store keeps
+//   * per job: its task, its first window slot and its unplaced units
+//     (the residual of source -> job);
+//   * per slot: its occupants, in ascending job order, in a block of
+//     min(m, windows covering the slot) cells, and their count (the
+//     slot -> sink flow).  A job holds slot s iff it is among s's
+//     occupants.
+// A difference array over the windows sizes the blocks in O(J + T), so
+// the store never exceeds min(T*m, sum of the window lengths) cells.
 //
 // Warm start.  Before Dinic runs, a greedy pass places what it can: the
 // tasks in ascending laxity D_i - C_i (ties by task index), each task's
-// jobs in index order, each job claiming its earliest slots whose sink arc
-// still has room.  The tightest tasks go first, so the loose ones fill in
-// around them; on the Table-I stream's flow-bound instances this places
-// ~98.9% of the demand (job-index order placed ~93.5%) and leaves ~0.8
-// Dinic phases for a feasible instance (src/csp/DESIGN.md §18 has the
-// variants measured).  An iterative current-arc Dinic augments the rest
-// and stops as soon as the demand flows.
+// jobs in index order, each job taking its earliest window slots that
+// still have a free processor, seated in job order.  The tightest tasks
+// go first, so the loose ones fill in around them; on the Table-I
+// stream's flow-bound instances this places ~98.9% of the demand
+// (job-index order placed ~93.5%) and leaves ~0.8 Dinic phases for a
+// feasible instance (src/csp/DESIGN.md §18 has the variants measured).
+//
+// Dinic runs over the residual network the occupancy implies, and tries
+// its arcs in the order the compressed sparse rows of the explicit
+// network (source, then the jobs, then the slots, then the sink) listed
+// them: the source's arcs in job order; a job's back arc to the source,
+// then its window slots in window order (those it does not hold); a
+// slot's occupants in ascending job order, then its arc to the sink
+// (while a processor is free).  So every phase finds the same level graph
+// and augments the same paths as a Dinic over that network, and every
+// result, phases and witness included, is the same: the level search
+// starts from the jobs with unplaced units, in index order, and stops at
+// the first level holding a slot with a free processor; the blocking flow
+// is an iterative DFS whose current arc is a job's window position and a
+// slot's last occupant tried (an augmenting path shifts the cells), and
+// stops as soon as the demand flows.
 //
 // Deadline.  The three-argument form asks a support::Deadline before each
-// Dinic phase, and after each block of about 65,536 slots or arcs that the
-// network build, the warm start and the witness walk (never before the
-// first block ends), and gives up with no verdict once it has expired or
-// been cancelled; the size guard below bounds the network, the deadline
-// bounds the time spent on it.
+// Dinic phase, and after each block of about 65,536 jobs, slots or window
+// slots that laying out the store, the warm start and the witness walk
+// (never before the first block ends), and gives up with no verdict once
+// it has expired or been cancelled; the size guard below bounds the
+// memory, the deadline bounds the time spent.
 //
 // Witness.  At most m tasks occupy any slot, so handing them processors in
 // ascending task order gives the canonical representative the CSP2
-// symmetry rule picks.  A slot's back arcs carry the flow of its
-// job -> slot arcs and list its jobs in index order (ascending task
-// order), so walking them fills the slot's schedule row (Schedule::row)
-// in canonical form straight off the arc order, without any sort.
+// symmetry rule picks.  A slot's occupants ascend by job, which is
+// ascending task order, so each schedule row (Schedule::row) is copied
+// straight off the cells, already canonical, without any sort.
 //
 // The oracle is the ground truth for solver tests and doubles as the
 // fastest feasibility decision procedure for identical platforms; it does
@@ -84,20 +101,22 @@ struct OracleResult {
 ///
 /// @throws ValidationError for non-identical platforms or non-constrained
 ///   task sets.
-/// @throws ResourceError when the network would need more than
-///   rt::JobTable::kDefaultSlotBudget (50M) forward arcs, counting
-///   J + sum of the window lengths + T; checked in 64-bit arithmetic
-///   before anything is allocated, so a huge hyperperiod with short
-///   windows is refused as promptly as long windows are.
+/// @throws ResourceError when J + sum of the window lengths + T (the job
+///   table, the slot blocks and Dinic's arrays) or T*m (the witness's
+///   cells) exceeds rt::JobTable::kDefaultSlotBudget (50M); both are
+///   checked in 64-bit arithmetic before anything is allocated, so a huge
+///   hyperperiod with short windows is refused as promptly as long windows
+///   are.
 [[nodiscard]] OracleResult decide_feasibility(const rt::TaskSet& ts,
                                               const rt::Platform& platform);
 
 /// The same decision under a time bound: `deadline` is asked before every
-/// Dinic phase and after each block of about 65,536 slots or arcs walked
-/// outside Dinic (expired(), which also sees its cancel token), and
-/// nullopt comes back once it has run out, never a partial verdict.  A
-/// network of fewer slots and arcs that the warm start settles is never
-/// asked and always returns.  Throws as the two-argument form does.
+/// Dinic phase and after each block of about 65,536 jobs, slots or window
+/// slots walked outside Dinic (expired(), which also sees its cancel
+/// token), and nullopt comes back once it has run out, never a partial
+/// verdict.  An instance of fewer jobs and slots that the warm start
+/// settles is never asked and always returns.  Throws as the two-argument
+/// form does.
 [[nodiscard]] std::optional<OracleResult> decide_feasibility(
     const rt::TaskSet& ts, const rt::Platform& platform,
     const support::Deadline& deadline);

@@ -116,10 +116,10 @@ TEST(Pipeline, FlowOracleStageStopsAtItsDeadlineWithACause) {
 
 TEST(Pipeline, FlowOracleStopsInsideALongNetworkAtItsDeadline) {
   // Pairwise coprime periods give T = 1,113,121 slots and about 3.3 million
-  // window arcs: the network build, the warm start and the witness take
-  // far longer than the 5 ms budget, while Dinic needs no phase at all.
-  // The oracle must stop inside them, as the presolve stage and as the
-  // method.  The stage then stands on the density proof (density 1.45 on
+  // window slots: laying out the slot blocks, the warm start's 1.6 million
+  // placements and the witness take longer than the 5 ms budget, while
+  // Dinic needs no phase at all.  The oracle must stop inside them, as the
+  // presolve stage and as the method.  The stage then stands on the density proof (density 1.45 on
   // two processors); the method has none to stand on.  On a loaded machine
   // the analysis stage alone can outlast the 5 ms, and the deadline then
   // skips the flow stage: the proof the analysis stage deferred to it must
@@ -151,18 +151,20 @@ TEST(Pipeline, FlowOracleStopsInsideALongNetworkAtItsDeadline) {
 }
 
 TEST(Pipeline, FlowDeadlineStopFallsBackToTheDeferredDensityProof) {
-  // 22 tasks of C = 1 and D = T = 2,000,000 on one processor (U ~ 1e-5):
-  // a network of 44 million slots, which the oracle cannot build in 20 ms.
+  // 22 tasks of C = 1 and D = T = 2,000,000 on one processor (U ~ 1e-5).
   // The analysis stage deferred its density proof to the oracle; a
-  // deadline stop must recover it instead of answering timeout.  The stage
-  // is called directly: through solve_instance, a loaded machine can spend
-  // the whole 20 ms before the stage starts, and the backend then times
-  // out without it.
+  // deadline stop must recover it instead of answering timeout.  The
+  // deadline has expired before the stage starts, so the oracle stops at
+  // the end of its first block of 65,536 slots, whatever the machine's
+  // speed: given time, it decides this body in a few tens of
+  // milliseconds.  The stage is called directly: through solve_instance,
+  // an expired deadline skips the stage.
   std::vector<rt::TaskParams> params(22, rt::TaskParams{0, 1, 2'000'000,
                                                         2'000'000});
   const TaskSet ts = TaskSet::from_params(params);
-  const SolveReport report = flow_oracle_stage(
-      ts, Platform::identical(1), support::Deadline::after_ms(20));
+  const SolveReport report =
+      flow_oracle_stage(ts, Platform::identical(1),
+                        support::Deadline::after(std::chrono::nanoseconds(0)));
   EXPECT_EQ(report.verdict, Verdict::kFeasible);
   EXPECT_EQ(report.decided_by, "analysis:density");
   EXPECT_EQ(report.cause, FailureCause::kNone);
@@ -180,6 +182,23 @@ TEST(Pipeline, FlowDeadlineStopFallsBackToTheDeferredDensityProof) {
       flow_oracle_stage(ts, Platform::identical(1), cancelled);
   EXPECT_EQ(stopped.verdict, Verdict::kUnknown);
   EXPECT_EQ(stopped.cause, FailureCause::kCancelled);
+}
+
+TEST(Pipeline, FlowStageOverTheWitnessBudgetStandsOnTheDensityProof) {
+  // 22 tasks of C = 1 and D = T = 60,000 on 1,000 processors: a witness of
+  // 60 million cells, over the oracle's 50 million, is refused before it
+  // is allocated, and the density proof (22 / 60,000 <= 1,000) answers.
+  std::vector<rt::TaskParams> params(22,
+                                     rt::TaskParams{0, 1, 60'000, 60'000});
+  const SolveReport report =
+      flow_oracle_stage(TaskSet::from_params(params),
+                        Platform::identical(1'000), support::Deadline{});
+  EXPECT_EQ(report.verdict, Verdict::kFeasible);
+  EXPECT_EQ(report.decided_by, "analysis:density");
+  EXPECT_EQ(report.cause, FailureCause::kNone);
+  EXPECT_FALSE(report.schedule.has_value());
+  EXPECT_NE(report.detail.find("witness"), std::string::npos)
+      << report.detail;
 }
 
 TEST(Pipeline, AnalysisStageProvesOverCapacityInfeasible) {

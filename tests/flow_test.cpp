@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "analysis/tests.hpp"
 #include "flow_reference.hpp"
@@ -179,6 +181,21 @@ TEST(Oracle, CloneExpansionDecidesArbitraryDeadlines) {
   EXPECT_TRUE(rt::is_valid_schedule(clones, p, *result.schedule));
 }
 
+TEST(Oracle, WitnessTableOverTheSlotBudgetIsRefused) {
+  // 22 tasks of C = 1 and D = T = 60,000 on 1,000 processors: 1.4 million
+  // jobs and window slots, but a witness of T x m = 60 million cells.  The
+  // guard refuses it before anything is allocated, and says why.
+  const TaskSet ts = TaskSet::from_params(
+      std::vector<rt::TaskParams>(22, rt::TaskParams{0, 1, 60'000, 60'000}));
+  try {
+    static_cast<void>(decide_feasibility(ts, Platform::identical(1'000)));
+    FAIL() << "no ResourceError";
+  } catch (const mgrts::ResourceError& e) {
+    EXPECT_NE(std::string(e.what()).find("witness"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Oracle, RandomWitnessesAlwaysValidate) {
   int feasible = 0;
   for (std::uint64_t k = 0; k < 60; ++k) {
@@ -274,13 +291,73 @@ TEST(OracleDeadline, AWarmStartThatPlacesEverythingNeedsNoPhase) {
 
 // ----------------------------------------------------- differential
 
+/// Calls `visit(ts, m, family, index)` on every instance the differential
+/// checks: the Table-I stream's 700 flow-bound instances (those the analysis
+/// tests leave to the oracle), six of its t_max 12 instances, offsets on two
+/// and three processors, m from 1 to n, and clone-expanded arbitrary
+/// deadlines.
+template <typename Visit>
+void for_each_differential_instance(const Visit& visit) {
+  gen::GeneratorOptions table1;
+  int flow_bound = 0;
+  for (std::uint64_t k = 0; flow_bound < 700; ++k) {
+    const auto inst = gen::generate_indexed(table1, 1, k);
+    if (analysis::quick_decide(inst.tasks, inst.processors).verdict ==
+        analysis::TestVerdict::kInfeasible) {
+      continue;
+    }
+    ++flow_bound;
+    visit(inst.tasks, inst.processors, "table-I", k);
+  }
+  table1.t_max = 12;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    const auto inst = gen::generate_indexed(table1, 1, k);
+    visit(inst.tasks, inst.processors, "table-I t_max 12", k);
+  }
+  gen::GeneratorOptions offsets;
+  offsets.tasks = 5;
+  offsets.t_max = 6;
+  offsets.with_offsets = true;
+  for (std::uint64_t k = 0; k < 800; ++k) {
+    offsets.processors = 2 + static_cast<std::int32_t>(k % 2);
+    const auto inst = gen::generate_indexed(offsets, 7, k);
+    visit(inst.tasks, inst.processors, "offsets", k);
+  }
+  gen::GeneratorOptions sweep;
+  sweep.tasks = 6;
+  sweep.t_max = 6;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    sweep.processors = 1 + static_cast<std::int32_t>(k % 6);
+    sweep.with_offsets = k % 4 == 0;
+    const auto inst = gen::generate_indexed(sweep, 11, k);
+    visit(inst.tasks, inst.processors, "m sweep", k);
+  }
+  // Arbitrary deadlines (D up to 2T).
+  support::Rng rng(20090911);
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    std::vector<rt::TaskParams> params;
+    const auto n = rng.uniform(2, 4);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const rt::Time period = rng.uniform(2, 5);
+      const rt::Time wcet = rng.uniform(1, period);
+      params.push_back({rng.uniform(0, period - 1), wcet,
+                        rng.uniform(wcet, 2 * period), period});
+    }
+    const TaskSet clones =
+        TaskSet::from_params(params, rt::DeadlineModel::kArbitrary)
+            .to_constrained();
+    visit(clones, static_cast<std::int32_t>(rng.uniform(1, 3)), "clones", k);
+  }
+}
+
 TEST(OracleDifferential, MatchesTheReferenceOnGeneratedFamilies) {
   // Every instance: the reference's verdict, flow and demand (the max-flow
   // value is unique), and a witness that validates and is canonical.
   int checked = 0;
   int feasible = 0;
-  auto check = [&](const TaskSet& ts, std::int32_t m, const char* family,
-                   std::uint64_t index) {
+  for_each_differential_instance([&](const TaskSet& ts, std::int32_t m,
+                                     const char* family,
+                                     std::uint64_t index) {
     const Platform p = Platform::identical(m);
     const OracleResult got = decide_feasibility(ts, p);
     const OracleResult want = reference::decide_feasibility(ts, p);
@@ -297,66 +374,57 @@ TEST(OracleDifferential, MatchesTheReferenceOnGeneratedFamilies) {
         rt::validate_schedule(ts, p, *got.schedule);
     ASSERT_TRUE(report.ok()) << report.to_string();
     ASSERT_EQ(first_non_canonical_slot(*got.schedule), -1);
-  };
-
-  // The Table-I stream's flow-bound instances: those the analysis tests
-  // leave to the oracle.
-  gen::GeneratorOptions table1;
-  int flow_bound = 0;
-  for (std::uint64_t k = 0; flow_bound < 700; ++k) {
-    const auto inst = gen::generate_indexed(table1, 1, k);
-    if (analysis::quick_decide(inst.tasks, inst.processors).verdict ==
-        analysis::TestVerdict::kInfeasible) {
-      continue;
-    }
-    ++flow_bound;
-    check(inst.tasks, inst.processors, "table-I", k);
-  }
-  // A few of its t_max 12 instances.
-  table1.t_max = 12;
-  for (std::uint64_t k = 0; k < 6; ++k) {
-    const auto inst = gen::generate_indexed(table1, 1, k);
-    check(inst.tasks, inst.processors, "table-I t_max 12", k);
-  }
-  // Offsets on two and three processors.
-  gen::GeneratorOptions offsets;
-  offsets.tasks = 5;
-  offsets.t_max = 6;
-  offsets.with_offsets = true;
-  for (std::uint64_t k = 0; k < 800; ++k) {
-    offsets.processors = 2 + static_cast<std::int32_t>(k % 2);
-    const auto inst = gen::generate_indexed(offsets, 7, k);
-    check(inst.tasks, inst.processors, "offsets", k);
-  }
-  // m from 1 to n.
-  gen::GeneratorOptions sweep;
-  sweep.tasks = 6;
-  sweep.t_max = 6;
-  for (std::uint64_t k = 0; k < 300; ++k) {
-    sweep.processors = 1 + static_cast<std::int32_t>(k % 6);
-    sweep.with_offsets = k % 4 == 0;
-    const auto inst = gen::generate_indexed(sweep, 11, k);
-    check(inst.tasks, inst.processors, "m sweep", k);
-  }
-  // Arbitrary deadlines (D up to 2T), clone-expanded.
-  support::Rng rng(20090911);
-  for (std::uint64_t k = 0; k < 300; ++k) {
-    std::vector<rt::TaskParams> params;
-    const auto n = rng.uniform(2, 4);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const rt::Time period = rng.uniform(2, 5);
-      const rt::Time wcet = rng.uniform(1, period);
-      params.push_back({rng.uniform(0, period - 1), wcet,
-                        rng.uniform(wcet, 2 * period), period});
-    }
-    const TaskSet clones =
-        TaskSet::from_params(params, rt::DeadlineModel::kArbitrary)
-            .to_constrained();
-    check(clones, static_cast<std::int32_t>(rng.uniform(1, 3)), "clones", k);
-  }
-
+  });
   EXPECT_GE(checked, 2000);
   EXPECT_GT(feasible, checked / 4);
+}
+
+/// FNV-1a over the eight bytes of `word`.
+void mix(std::uint64_t& h, std::int64_t word) {
+  for (int k = 0; k < 8; ++k) {
+    h ^= (static_cast<std::uint64_t>(word) >> (8 * k)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+TEST(OracleDifferential, ResultDigestIsPinned) {
+  // Which maximum flow the oracle finds, and in how many phases, is its
+  // own choice: the reference pins only the max-flow value.  This digest
+  // pins all of it, verdict, flow, demand, phases and every witness row,
+  // over the differential's instances, 30 more t_max 12 instances and 80
+  // small Table-IV shapes (m = ceil(U)) whose warm start mostly leaves
+  // phases.  A change to the oracle's internals that keeps its answers
+  // must reproduce the digest unmodified.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&](const TaskSet& ts, std::int32_t m, const char*,
+                        std::uint64_t) {
+    const OracleResult r = decide_feasibility(ts, Platform::identical(m));
+    mix(h, static_cast<std::int64_t>(r.verdict));
+    mix(h, r.flow);
+    mix(h, r.demand);
+    mix(h, r.phases);
+    mix(h, r.schedule.has_value());
+    if (!r.schedule) return;
+    for (rt::Time t = 0; t < r.schedule->hyperperiod(); ++t) {
+      for (const rt::TaskId cell : r.schedule->row(t)) mix(h, cell);
+    }
+  };
+  for_each_differential_instance(fold);
+  gen::GeneratorOptions table1;
+  table1.t_max = 12;
+  for (std::uint64_t k = 6; k < 36; ++k) {
+    const auto inst = gen::generate_indexed(table1, 1, k);
+    fold(inst.tasks, inst.processors, "table-I t_max 12", k);
+  }
+  gen::GeneratorOptions table4;
+  table4.rule = gen::ProcessorRule::kMinCapacity;
+  table4.t_max = 10;
+  for (std::uint64_t k = 0; k < 80; ++k) {
+    table4.tasks = 8 + 2 * static_cast<std::int32_t>(k % 2);
+    const auto inst = gen::generate_indexed(table4, 4, k);
+    fold(inst.tasks, inst.processors, "table-IV shape", k);
+  }
+  EXPECT_EQ(h, 0xb5efd81912f1c5f5ULL);
 }
 
 TEST(OracleDifferential, DinicPhasesOnTheTableIStreamArePinned) {
